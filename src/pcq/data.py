@@ -1,7 +1,8 @@
 """Dataset plumbing: label taxonomies, CSV manifests, WAV I/O, synthetic corpus.
 
 Manifest schema: CSV with header ``clip_id,path,label,speaker,fold`` where fold
-is an integer 0-9 and path is resolved relative to the manifest's directory.
+is an integer 0 to MAX_FOLDS - 1 and path is resolved relative to the
+manifest's directory.
 """
 
 import csv
@@ -15,6 +16,7 @@ from .dsp import SAMPLE_RATE, AudioClip
 from .errors import ConfigError, DataError, InvalidInput
 
 MANIFEST_HEADER = ["clip_id", "path", "label", "speaker", "fold"]
+MAX_FOLDS = 10  # fold ids run 0 .. MAX_FOLDS - 1
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> list[ManifestRow]:
                 fold_i = int(fold)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: fold '{fold}' is not an integer") from None
-            if not 0 <= fold_i <= 9:
-                raise DataError(f"{path}:{lineno}: fold {fold_i} outside 0-9")
+            if not 0 <= fold_i < MAX_FOLDS:
+                raise DataError(f"{path}:{lineno}: fold {fold_i} outside 0-{MAX_FOLDS - 1}")
             if taxonomy is not None:
                 label = taxonomy.canonical(label)
             rows.append(ManifestRow(clip_id=clip_id, path=(path.parent / rel),
@@ -97,18 +99,19 @@ def load_manifest(path, taxonomy: Taxonomy | None = None) -> list[ManifestRow]:
 
 
 def save_manifest(path, rows):
+    """Write rows as a manifest; paths are stored relative to its directory when inside it."""
     path = Path(path)
+    base = path.parent.resolve()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for r in rows:
-            rel = Path(r.path)
-            if rel.is_absolute():
-                try:
-                    rel = rel.relative_to(path.parent.resolve())
-                except ValueError:
-                    pass
-            writer.writerow([r.clip_id, str(rel), r.label, r.speaker, r.fold])
+            clip = Path(r.path).resolve()
+            try:
+                clip = clip.relative_to(base)
+            except ValueError:
+                pass   # outside the manifest's directory: keep the absolute path
+            writer.writerow([r.clip_id, str(clip), r.label, r.speaker, r.fold])
     return path
 
 
@@ -138,8 +141,14 @@ def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE):
     wavfile.write(path, rate, np.round(pcm * 32767.0).astype(np.int16))
 
 
+def _check_fold_count(folds: int):
+    if not 1 <= folds <= MAX_FOLDS:
+        raise ConfigError(f"fold count must be in 1-{MAX_FOLDS}, got {folds}")
+
+
 def assign_folds(rows, by: str = "random", folds: int = 10, seed: int = 0) -> list[ManifestRow]:
     """Reassign the fold column: 'random' balances rows, 'speaker' keeps speakers intact."""
+    _check_fold_count(folds)
     if by == "random":
         order = np.random.default_rng(seed).permutation(len(rows))
         return [replace(rows[int(i)], fold=int(pos % folds)) for pos, i in enumerate(order)]
@@ -181,6 +190,7 @@ def synth_corpus(out_dir, taxonomy: Taxonomy, n_per_class: int, seed: int = 0,
     Clips are 3-6 s PCM16 WAVs; folds are assigned round-robin within each
     class so every fold sees every class. Returns the manifest path.
     """
+    _check_fold_count(folds)
     if n_per_class < folds:
         raise ConfigError(f"need n_per_class >= folds ({folds}), got {n_per_class}")
     out_dir = Path(out_dir)

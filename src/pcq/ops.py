@@ -4,6 +4,22 @@ Layout conventions: feature maps are [C, H, W], embedding sequences [T, D],
 vectors [N]. Convolutions use cross-correlation semantics. All ops follow the
 dtype of their inputs, so the same graph runs in float32 for training and in
 float64 for finite-difference verification.
+
+How the convolutions are computed:
+
+- Dense ``conv2d`` (``groups == 1``) and ``conv1d`` are one GEMM each way
+  (im2col): a transient column matrix [C_in*kh*kw, Ho*Wo] is copied out of the
+  (padded) input and multiplied by the flattened kernel. Backward rebuilds the
+  columns from the input the closure already holds, does one GEMM for the
+  weight gradient and one for the column gradient, and scatters the latter
+  back with one strided add per kernel tap (col2im). Column matrices are never
+  kept on the graph. A 1x1 stride-1 unpadded conv multiplies the input
+  reshaped to [C_in, H*W] directly.
+- Depthwise ``conv2d`` (``groups == C_in == C_out``) has no GEMM to form; it
+  loops over the kernel taps, one multiply-add per tap, over blocks of
+  channels small enough (``DEPTHWISE_BLOCK_BYTES``) that the tap temporaries
+  stay in cache. im2col would take kh*kw times the map's memory.
+- Other groupings are not supported.
 """
 
 from functools import lru_cache
@@ -13,81 +29,126 @@ import numpy as np
 from .errors import InvalidInput, ShapeError
 from .tensor import Tensor, make_node
 
-
-def _as_pair(v):
-    return (v, v) if np.isscalar(v) else tuple(v)
+# target size of one channel block of the depthwise tap loop: about one
+# channel plane of a 300x200 float32 map, well inside a core's L2 cache
+DEPTHWISE_BLOCK_BYTES = 256 * 1024
 
 
 # ---------------------------------------------------------------------------
 # convolutions
 
 
+def _windows2d(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int, dilation: int):
+    """[C, kh, kw, Ho, Wo] view of every kernel tap's strided window of a padded map.
+
+    The windows of different taps overlap, so write through one tap at a time.
+    """
+    sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(xp.shape[0], kh, kw, ho, wo),
+        strides=(sc, dilation * sh, dilation * sw, stride * sh, stride * sw))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1, groups: int = 1) -> Tensor:
-    """2-D cross-correlation over a [C_in, H, W] map with a [C_out, C_in/groups, kh, kw] kernel."""
+    """2-D cross-correlation over a [C_in, H, W] map with a [C_out, C_in/groups, kh, kw] kernel.
+
+    ``groups`` must be 1 (dense) or C_in with C_out == C_in (depthwise).
+    """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d expects rank-3 input and rank-4 weight, got {x.shape} and {w.shape}")
     c_in, h, wd = x.shape
     c_out, c_in_g, kh, kw = w.shape
-    if c_in % groups != 0 or c_out % groups != 0:
-        raise ShapeError(f"channels ({c_in}->{c_out}) not divisible by groups={groups}")
-    if c_in_g != c_in // groups:
-        raise ShapeError(f"weight expects {c_in_g * groups} input channels, got {c_in}")
+    if groups == 1:
+        if c_in_g != c_in:
+            raise ShapeError(f"weight expects {c_in_g} input channels, got {c_in}")
+    elif not (groups == c_in == c_out and c_in_g == 1):
+        raise ShapeError(f"conv2d supports groups=1 or depthwise (groups == C_in == C_out), "
+                         f"got groups={groups} for {c_in}->{c_out} channels")
     ho = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
     wo = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    if groups == 1:
+        return _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation)
+    return _depthwise_conv2d(x, w, xp, ho, wo, stride, padding, dilation)
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    depthwise = groups == c_in and c_in_g == 1
 
-    def tap(arr, di, dj):
-        return arr[:, di * dilation: di * dilation + (ho - 1) * stride + 1: stride,
-                   dj * dilation: dj * dilation + (wo - 1) * stride + 1: stride]
+def _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
+    c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    pointwise = kh == kw == 1 and stride == 1 and padding == 0
 
-    out = np.zeros((c_out, ho, wo), dtype=x.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            xs = tap(xp, di, dj)
-            if groups == 1:
-                out += np.tensordot(w.data[:, :, di, dj], xs, axes=([1], [0]))
-            elif depthwise:
-                out += w.data[:, 0, di, dj][:, None, None] * xs
+    def columns():
+        if pointwise:
+            return x.data.reshape(c_in, h * wd)
+        win = _windows2d(xp, kh, kw, ho, wo, stride, dilation)
+        return np.ascontiguousarray(win).reshape(c_in * kh * kw, ho * wo)
+
+    w2 = w.data.reshape(c_out, -1)
+    out = (w2 @ columns()).reshape(c_out, ho, wo)
+
+    def backward(gy):
+        gy2 = gy.reshape(c_out, ho * wo)
+        if w.requires_grad:
+            w.accumulate_grad((gy2 @ columns().T).reshape(w.shape))
+        if x.requires_grad:
+            gcols = w2.T @ gy2
+            if pointwise:
+                x.accumulate_grad(gcols.reshape(x.shape))
+                return
+            gcols = gcols.reshape(c_in, kh, kw, ho, wo)
+            gxp = np.zeros_like(xp)
+            gwin = _windows2d(gxp, kh, kw, ho, wo, stride, dilation)
+            for di in range(kh):
+                for dj in range(kw):
+                    gwin[:, di, dj] += gcols[:, di, dj]
+            x.accumulate_grad(gxp[:, padding: padding + h, padding: padding + wd])
+
+    return make_node(out, (x, w), backward)
+
+
+def _channel_blocks(c: int, plane_bytes: int):
+    """Contiguous channel slices of about DEPTHWISE_BLOCK_BYTES each."""
+    step = max(1, DEPTHWISE_BLOCK_BYTES // plane_bytes)
+    return [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
+
+
+def _depthwise_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
+    c, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    taps = [(di, dj) for di in range(kh) for dj in range(kw)]
+    wt = w.data[:, 0].reshape(c, kh * kw, 1, 1)   # per-channel tap coefficients
+    blocks = _channel_blocks(c, ho * wo * x.dtype.itemsize)
+    win = _windows2d(xp, kh, kw, ho, wo, stride, dilation)
+
+    out = np.empty((c, ho, wo), dtype=x.dtype)
+    tmp = np.empty((blocks[0].stop, ho, wo), dtype=x.dtype)
+    for blk in blocks:
+        ob, tb = out[blk], tmp[: blk.stop - blk.start]
+        for t, (di, dj) in enumerate(taps):
+            if t == 0:
+                np.multiply(win[blk, di, dj], wt[blk, t], out=ob)
             else:
-                for g in range(groups):
-                    ci, co = slice(g * c_in_g, (g + 1) * c_in_g), slice(g * (c_out // groups), (g + 1) * (c_out // groups))
-                    out[co] += np.tensordot(w.data[co, :, di, dj], xs[ci], axes=([1], [0]))
+                ob += np.multiply(win[blk, di, dj], wt[blk, t], out=tb)
 
     def backward(gy):
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            for di in range(kh):
-                for dj in range(kw):
-                    xs = tap(xp, di, dj)
-                    if groups == 1:
-                        gw[:, :, di, dj] = np.tensordot(gy, xs, axes=([1, 2], [1, 2]))
-                    elif depthwise:
-                        gw[:, 0, di, dj] = np.sum(gy * xs, axis=(1, 2))
-                    else:
-                        for g in range(groups):
-                            ci, co = slice(g * c_in_g, (g + 1) * c_in_g), slice(g * (c_out // groups), (g + 1) * (c_out // groups))
-                            gw[co, :, di, dj] = np.tensordot(gy[co], xs[ci], axes=([1, 2], [1, 2]))
-            w.accumulate_grad(gw)
+            gw = np.empty((c, kh * kw), dtype=w.dtype)
+            for blk in blocks:
+                for t, (di, dj) in enumerate(taps):
+                    gw[blk, t] = np.einsum("chw,chw->c", gy[blk], win[blk, di, dj])
+            w.accumulate_grad(gw.reshape(w.shape))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            for di in range(kh):
-                for dj in range(kw):
-                    dst = tap(gxp, di, dj)
-                    if groups == 1:
-                        dst += np.tensordot(w.data[:, :, di, dj], gy, axes=([0], [0]))
-                    elif depthwise:
-                        dst += w.data[:, 0, di, dj][:, None, None] * gy
-                    else:
-                        for g in range(groups):
-                            ci, co = slice(g * c_in_g, (g + 1) * c_in_g), slice(g * (c_out // groups), (g + 1) * (c_out // groups))
-                            dst[ci] += np.tensordot(w.data[co, :, di, dj], gy[co], axes=([0], [0]))
-            gx = gxp[:, padding: padding + h, padding: padding + wd] if padding else gxp
-            x.accumulate_grad(gx)
+            gwin = _windows2d(gxp, kh, kw, ho, wo, stride, dilation)
+            tmp = np.empty((blocks[0].stop, ho, wo), dtype=x.dtype)
+            for blk in blocks:
+                tb = tmp[: blk.stop - blk.start]
+                for t, (di, dj) in enumerate(taps):
+                    gwin[blk, di, dj] += np.multiply(gy[blk], wt[blk, t], out=tb)
+            x.accumulate_grad(gxp[:, padding: padding + h, padding: padding + wd])
 
     return make_node(out, (x, w), backward)
 
@@ -109,23 +170,23 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     if lo < 1:
         raise ShapeError(f"conv1d output would be empty for input length {length}")
 
-    def tap(arr, t):
-        return arr[:, t: t + (lo - 1) * stride + 1: stride]
+    def columns():
+        sc, sl = x.data.strides
+        win = np.lib.stride_tricks.as_strided(x.data, shape=(c_in, k, lo),
+                                              strides=(sc, sl, stride * sl), writeable=False)
+        return np.ascontiguousarray(win).reshape(c_in * k, lo)
 
-    out = np.zeros((c_out, lo), dtype=x.dtype)
-    for t in range(k):
-        out += np.tensordot(w.data[:, :, t], tap(x.data, t), axes=([1], [0]))
+    w2 = w.data.reshape(c_out, c_in * k)
+    out = w2 @ columns()
 
     def backward(gy):
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            for t in range(k):
-                gw[:, :, t] = np.tensordot(gy, tap(x.data, t), axes=([1], [1]))
-            w.accumulate_grad(gw)
+            w.accumulate_grad((gy @ columns().T).reshape(w.shape))
         if x.requires_grad:
+            gcols = (w2.T @ gy).reshape(c_in, k, lo)
             gx = np.zeros_like(x.data)
             for t in range(k):
-                tap(gx, t)[...] += np.tensordot(w.data[:, :, t], gy, axes=([0], [0]))
+                gx[:, t: t + (lo - 1) * stride + 1: stride] += gcols[:, t]
             x.accumulate_grad(gx)
 
     return make_node(out, (x, w), backward)
@@ -135,13 +196,21 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 # resampling and pooling
 
 
-def _resize_axis(in_size: int, out_size: int):
-    """Half-pixel-center source coordinates: low index, high index, fraction."""
+@lru_cache(maxsize=64)
+def _interp_matrix(in_size: int, out_size: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only [out, in] linear-interpolation matrix with half-pixel centres (align_corners=False)."""
     src = (np.arange(out_size) + 0.5) * in_size / out_size - 0.5
     src = np.clip(src, 0.0, in_size - 1)
     lo = np.floor(src).astype(np.int64)
     hi = np.minimum(lo + 1, in_size - 1)
-    return lo, hi, src - lo
+    frac = src - lo
+    m = np.zeros((out_size, in_size))
+    rows = np.arange(out_size)
+    np.add.at(m, (rows, lo), 1.0 - frac)
+    np.add.at(m, (rows, hi), frac)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -151,25 +220,13 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError("target size must be >= 1")
     _, h, w = x.shape
-    y0, y1, fy = _resize_axis(h, out_h)
-    x0, x1, fx = _resize_axis(w, out_w)
-    fy = fy[:, None].astype(x.dtype)
-    fx = fx[None, :].astype(x.dtype)
-    w00, w01 = (1 - fy) * (1 - fx), (1 - fy) * fx
-    w10, w11 = fy * (1 - fx), fy * fx
-
-    d = x.data
-    out = (d[:, y0[:, None], x0[None, :]] * w00 + d[:, y0[:, None], x1[None, :]] * w01
-           + d[:, y1[:, None], x0[None, :]] * w10 + d[:, y1[:, None], x1[None, :]] * w11)
+    rm = _interp_matrix(h, out_h, x.dtype)
+    cm = _interp_matrix(w, out_w, x.dtype)
+    out = rm @ x.data @ cm.T
 
     def backward(gy):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None), y0[:, None], x0[None, :]), gy * w00)
-            np.add.at(gx, (slice(None), y0[:, None], x1[None, :]), gy * w01)
-            np.add.at(gx, (slice(None), y1[:, None], x0[None, :]), gy * w10)
-            np.add.at(gx, (slice(None), y1[:, None], x1[None, :]), gy * w11)
-            x.accumulate_grad(gx)
+            x.accumulate_grad(rm.T @ gy @ cm)
 
     return make_node(out, (x,), backward)
 
@@ -222,22 +279,28 @@ def max_pool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; trailing odd rows/columns are dropped (floor)."""
     if x.ndim != 3:
         raise ShapeError(f"max_pool2x2 expects a rank-3 map, got {x.shape}")
-    c, h, w = x.shape
+    _, h, w = x.shape
     ho, wo = h // 2, w // 2
     if ho < 1 or wo < 1:
         raise ShapeError(f"map {h}x{w} too small for 2x2 pooling")
-    win = (x.data[:, : ho * 2, : wo * 2]
-           .reshape(c, ho, 2, wo, 2).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, 4))
-    idx = win.argmax(axis=3)  # first max wins on ties
-    out = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
+    # window corners in row-major order: (0,0), (0,1), (1,0), (1,1)
+    corners = [(r, c) for r in (0, 1) for c in (0, 1)]
+
+    def view(arr, r, c):
+        return arr[:, r: 2 * ho: 2, c: 2 * wo: 2]
+
+    d = x.data
+    out = np.maximum(np.maximum(view(d, 0, 0), view(d, 0, 1)), np.maximum(view(d, 1, 0), view(d, 1, 1)))
 
     def backward(gy):
         if x.requires_grad:
-            gwin = np.zeros_like(win)
-            np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=3)
-            gx = np.zeros_like(x.data)
-            gx[:, : ho * 2, : wo * 2] = (gwin.reshape(c, ho, wo, 2, 2)
-                                         .transpose(0, 1, 3, 2, 4).reshape(c, ho * 2, wo * 2))
+            gx = np.zeros_like(d)
+            free = np.ones(out.shape, dtype=bool)   # windows whose max is not yet routed
+            for r, c in corners:
+                hit = view(d, r, c) == out
+                hit &= free
+                free &= ~hit
+                np.multiply(gy, hit, out=view(gx, r, c))   # the first corner equal to the max wins ties
             x.accumulate_grad(gx)
 
     return make_node(out, (x,), backward)

@@ -75,8 +75,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from a scalar output through the recorded graph."""

@@ -1,0 +1,163 @@
+"""Adjoint (dot-product) tests: each linear op's backward is the exact transpose of its forward.
+
+For an op A that is linear in an input x, the backward closure fed a cotangent
+v must return A^T v, so <A x, v> == <x, A^T v> up to float64 rounding
+(Claerbout's dot-product test). Unlike finite differences this is exact and
+needs no step size. Bilinear ops (convolutions) are linear in the input and in
+the weight separately, so both pairings must equal <A x, v>. Shapes are drawn
+from the seed.
+"""
+
+import numpy as np
+import pytest
+
+from pcq import ops
+from pcq.tensor import Tensor
+
+SEEDS = (0, 1, 2)
+RTOL = 1e-12
+
+
+def _t(rng, shape):
+    return Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+
+
+def _pairings(fn, inputs, seed):
+    """<fn(), v>, [<x, grad_x> for x in inputs] and |fn()|*|v| for a random cotangent v."""
+    out = fn()
+    v = np.random.default_rng(10_000 + seed).normal(size=out.size)
+    loss = ops.linear(ops.reshape(out, (out.size,)), Tensor(v.reshape(1, -1), dtype=np.float64))
+    loss.backward()
+    scale = np.linalg.norm(out.data) * np.linalg.norm(v)
+    return loss.item(), [float(np.vdot(x.data, x.grad)) for x in inputs], scale
+
+
+def assert_adjoint(fn, inputs, seed, jointly=False):
+    """Each input alone (or, if jointly, all inputs summed) pairs to <A x, v>."""
+    lhs, rhs, scale = _pairings(fn, inputs, seed)
+    for r in ([sum(rhs)] if jointly else rhs):
+        assert abs(lhs - r) <= RTOL * scale, (lhs, r)
+
+
+def _size(rng, lo, hi):
+    return int(rng.integers(lo, hi + 1))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestConvolutions:
+    def test_conv2d_1x1(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = _size(rng, 1, 5), _size(rng, 1, 5)
+        x, w = _t(rng, (c_in, _size(rng, 2, 12), _size(rng, 2, 12))), _t(rng, (c_out, c_in, 1, 1))
+        assert_adjoint(lambda: ops.conv2d(x, w), [x, w], seed)
+
+    def test_conv2d_3x3_stride2_pad1(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = _size(rng, 1, 4), _size(rng, 1, 4)
+        x, w = _t(rng, (c_in, _size(rng, 3, 13), _size(rng, 3, 13))), _t(rng, (c_out, c_in, 3, 3))
+        assert_adjoint(lambda: ops.conv2d(x, w, stride=2, padding=1), [x, w], seed)
+
+    def test_conv2d_3x3_dilation7(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = _size(rng, 1, 3), _size(rng, 1, 3)
+        x, w = _t(rng, (c_in, _size(rng, 8, 20), _size(rng, 8, 20))), _t(rng, (c_out, c_in, 3, 3))
+        assert_adjoint(lambda: ops.conv2d(x, w, padding=7, dilation=7), [x, w], seed)
+
+    def test_depthwise_small(self, seed):
+        rng = np.random.default_rng(seed)
+        c = _size(rng, 1, 6)
+        x, w = _t(rng, (c, _size(rng, 4, 12), _size(rng, 4, 12))), _t(rng, (c, 1, 3, 3))
+        assert_adjoint(lambda: ops.depthwise_conv3x3(x, w, dilation=2), [x, w], seed)
+
+    def test_conv1d_kernel_equals_stride(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out, k = _size(rng, 1, 4), _size(rng, 1, 4), _size(rng, 2, 5)
+        x, w = _t(rng, (c_in, _size(rng, k, 40))), _t(rng, (c_out, c_in, k))
+        assert_adjoint(lambda: ops.conv1d(x, w, stride=k), [x, w], seed)
+
+    def test_conv1d_overlapping_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = _size(rng, 1, 4), _size(rng, 1, 4)
+        x, w = _t(rng, (c_in, _size(rng, 5, 40))), _t(rng, (c_out, c_in, 5))
+        assert_adjoint(lambda: ops.conv1d(x, w, stride=2), [x, w], seed)
+
+
+def test_depthwise_split_into_channel_blocks():
+    # 128x128 float64 planes are 128 KB, so the 256 KB blocks hold two channels:
+    # five channels run as blocks of 2, 2 and a short last block of 1
+    rng = np.random.default_rng(3)
+    x, w = _t(rng, (5, 128, 128)), _t(rng, (5, 1, 3, 3))
+    assert len(ops._channel_blocks(5, 128 * 128 * 8)) == 3
+    assert_adjoint(lambda: ops.depthwise_conv3x3(x, w), [x, w], 3)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestResamplingAndShape:
+    def test_bilinear_upsample(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = _size(rng, 2, 8), _size(rng, 2, 8)
+        x = _t(rng, (_size(rng, 1, 3), h, w))
+        assert_adjoint(lambda: ops.bilinear_resize(x, h + _size(rng, 1, 9), w + _size(rng, 1, 9)),
+                       [x], seed)
+
+    def test_bilinear_downsample(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = _size(rng, 6, 16), _size(rng, 6, 16)
+        x = _t(rng, (_size(rng, 1, 3), h, w))
+        assert_adjoint(lambda: ops.bilinear_resize(x, _size(rng, 1, h - 1), _size(rng, 1, w - 1)),
+                       [x], seed)
+
+    def test_adaptive_avg_pool(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = _size(rng, 3, 15), _size(rng, 3, 15)
+        x = _t(rng, (_size(rng, 1, 3), h, w))
+        assert_adjoint(lambda: ops.adaptive_avg_pool(x, _size(rng, 1, h), _size(rng, 1, w)), [x], seed)
+
+    def test_global_avg_pool(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _t(rng, (_size(rng, 1, 4), _size(rng, 1, 9), _size(rng, 1, 9)))
+        assert_adjoint(lambda: ops.global_avg_pool(x), [x], seed)
+
+    def test_concat(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = _size(rng, 1, 6), _size(rng, 1, 6)
+        xs = [_t(rng, (_size(rng, 1, 4), h, w)) for _ in range(_size(rng, 2, 4))]
+        assert_adjoint(lambda: ops.concat(xs), xs, seed, jointly=True)
+
+    def test_slice_channels(self, seed):
+        rng = np.random.default_rng(seed)
+        c = _size(rng, 2, 8)
+        start = _size(rng, 0, c - 1)
+        x = _t(rng, (c, _size(rng, 1, 5), _size(rng, 1, 5)))
+        assert_adjoint(lambda: ops.slice_channels(x, start, _size(rng, start + 1, c)), [x], seed)
+
+    def test_reshape(self, seed):
+        rng = np.random.default_rng(seed)
+        c, h, w = _size(rng, 1, 4), _size(rng, 1, 6), _size(rng, 1, 6)
+        x = _t(rng, (c, h, w))
+        assert_adjoint(lambda: ops.reshape(x, (h, c * w)), [x], seed)
+
+
+def _pool_grad(x: np.ndarray) -> np.ndarray:
+    t = Tensor(x, requires_grad=True, dtype=np.float64)
+    out = ops.max_pool2x2(t)
+    ops.linear(ops.reshape(out, (out.size,)), Tensor(np.ones((1, out.size)), dtype=np.float64)).backward()
+    return t.grad
+
+
+class TestMaxPoolTies:
+    def test_all_equal_window_routes_to_top_left(self):
+        g = _pool_grad(np.full((2, 4, 4), 3.0))
+        expected = np.zeros((2, 4, 4))
+        expected[:, 0::2, 0::2] = 1.0
+        np.testing.assert_array_equal(g, expected)
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_tie_goes_to_first_corner_in_row_major_order(self, first, second):
+        x = np.zeros((1, 2, 2))
+        for corner in (first, second):
+            x[0, corner // 2, corner % 2] = 5.0
+        g = _pool_grad(x)
+        expected = np.zeros((1, 2, 2))
+        expected[0, first // 2, first % 2] = 1.0
+        np.testing.assert_array_equal(g, expected)

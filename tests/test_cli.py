@@ -49,6 +49,26 @@ class TestDataCommands:
         assert main(["features", "--manifest", str(workdir / "nope.csv"),
                      "--out", str(workdir / "x")]) == 3
 
+    def test_relative_out_dir_round_trips(self, tmp_path, monkeypatch):
+        # the README walkthrough: relative paths from the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth-data", "--out", "data", "--per-class", "10", "--seed", "2"]) == 0
+        assert main(["features", "--manifest", "data/manifest.csv", "--out", "feat"]) == 0
+        assert len(list((tmp_path / "feat").glob("*.f32"))) >= 40
+
+    def test_synth_data_too_many_folds_is_config_error(self, tmp_path, capsys):
+        rc = main(["synth-data", "--out", str(tmp_path / "d"), "--per-class", "12",
+                   "--folds", "12"])
+        assert rc == 2
+        assert "fold count" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_make_folds_too_many_folds_is_config_error(self, workdir, tmp_path):
+        rc = main(["make-folds", "--manifest", manifest(workdir), "--folds", "12",
+                   "--out", str(tmp_path / "refolded.csv")])
+        assert rc == 2
+        assert not (tmp_path / "refolded.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workdir):

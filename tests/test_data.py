@@ -100,6 +100,16 @@ class TestAssignFolds:
         with pytest.raises(ConfigError):
             data.assign_folds(self._rows(4), by="magic")
 
+    @pytest.mark.parametrize("folds", [0, data.MAX_FOLDS + 1])
+    def test_fold_count_outside_range_rejected(self, folds):
+        with pytest.raises(ConfigError):
+            data.assign_folds(self._rows(40), folds=folds)
+
+    def test_max_folds_round_trip_through_manifest(self, tmp_path):
+        rows = data.assign_folds(self._rows(40), folds=data.MAX_FOLDS)
+        loaded = data.load_manifest(data.save_manifest(tmp_path / "m.csv", rows))
+        assert {r.fold for r in loaded} == set(range(data.MAX_FOLDS))
+
 
 class TestSynthCorpus:
     def test_counts_and_balanced_folds(self, tmp_path):

@@ -73,12 +73,14 @@ class TestConv2d:
             oracle = naive_conv2d(x, w, stride=stride, padding=padding, dilation=dilation)
             np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
-    def test_grouped_vs_naive(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 8, 8))
-        w = rng.normal(size=(6, 2, 3, 3))
-        out = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), padding=1, groups=2)
-        np.testing.assert_allclose(out.data, naive_conv2d(x, w, padding=1, groups=2), atol=1e-10)
+    @pytest.mark.parametrize("c_in, c_out, groups", [(4, 6, 2), (4, 8, 4)])
+    def test_grouped_rejected(self, c_in, c_out, groups):
+        # only dense (groups=1) and depthwise (groups == C_in == C_out) are supported;
+        # the second case is depthwise with a channel multiplier of 2
+        x = Tensor(np.ones((c_in, 8, 8)))
+        w = Tensor(np.ones((c_out, c_in // groups, 3, 3)))
+        with pytest.raises(ShapeError):
+            ops.conv2d(x, w, padding=1, groups=groups)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -115,6 +117,18 @@ class TestDepthwise:
                 for j in range(16):
                     oracle[c, i, j] = np.sum(xp[c, i:i + 3, j:j + 3] * w[c, 0])
         assert np.abs(out.data - oracle).max() < 1e-6
+
+    def test_channel_blocks_match_dense_block_diagonal_conv(self):
+        # large enough planes that the tap loop runs over several channel blocks
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 128, 128))
+        w = rng.normal(size=(5, 1, 3, 3))
+        dense = np.zeros((5, 5, 3, 3))
+        dense[np.arange(5), np.arange(5)] = w[:, 0]
+        out = ops.depthwise_conv3x3(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), dilation=2)
+        oracle = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(dense, dtype=np.float64),
+                            padding=2, dilation=2)
+        np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
 
 
 class TestConv1d:
