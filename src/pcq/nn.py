@@ -6,12 +6,13 @@ little-endian float32 parameter blobs.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import Tensor
 
 
@@ -193,18 +194,42 @@ def save_checkpoint(path, module: Module):
 
 
 def load_checkpoint(path, module: Module):
-    """Restore parameters saved by save_checkpoint into an existing module tree."""
+    """Restore parameters saved by save_checkpoint into an existing module tree.
+
+    An unreadable file, a header that is not a JSON entry list, an entry that
+    runs past the end of the blob, and tensor names missing from or extra to
+    the module all raise DataError.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.readline()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
+    header, _, blob = raw.partition(b"\n")
+    try:
         entries = json.loads(header.decode())
-        base = fh.tell()
-        state = {}
-        for entry in entries:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            fh.seek(base + entry["byte_offset"])
-            arr = np.frombuffer(fh.read(count * 4), dtype="<f4").reshape(shape)
-            state[entry["name"]] = arr
+        layout = [(e["name"], tuple(int(n) for n in e["shape"]), int(e["byte_offset"])) for e in entries]
+    except (UnicodeDecodeError, ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"checkpoint {path} has no valid JSON header") from exc
+    state = {}
+    for name, shape, offset in layout:
+        count = math.prod(shape)
+        if offset < 0 or min(shape, default=0) < 0 or offset + 4 * count > len(blob):
+            raise DataError(f"checkpoint {path} is truncated: tensor '{name}' needs bytes "
+                            f"{offset}-{offset + 4 * count}, the blob holds {len(blob)}")
+        state[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+    expected = [name for name, _ in module.named_parameters()]
+    missing = [name for name in expected if name not in state]
+    extra = sorted(set(state) - set(expected))
+    if missing or extra:
+        raise DataError(f"checkpoint {path} does not match the model: "
+                        f"missing {_name_list(missing)}, extra {_name_list(extra)}")
     module.load_state_dict(state)
     return module
+
+
+def _name_list(names, shown: int = 3) -> str:
+    """A short one-line rendering of a list of tensor names."""
+    if len(names) <= shown:
+        return "[" + ", ".join(names) + "]"
+    return "[" + ", ".join(names[:shown]) + f", and {len(names) - shown} more]"

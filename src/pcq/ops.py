@@ -18,8 +18,16 @@ How the convolutions are computed:
 - Depthwise ``conv2d`` (``groups == C_in == C_out``) has no GEMM to form; it
   loops over the kernel taps, one multiply-add per tap, over blocks of
   channels small enough (``DEPTHWISE_BLOCK_BYTES``) that the tap temporaries
-  stay in cache. im2col would take kh*kw times the map's memory.
+  stay in cache. im2col would take kh*kw times the map's memory. Depthwise
+  needs stride 1, so its backward reuses the forward tap loop: the input
+  gradient is that loop run over ``gy`` in a zero border with the kernel
+  flipped, written straight into a fresh [C, H, W] buffer, and the weight
+  gradient's per-tap contractions run in the same channel-block pass.
 - Other groupings are not supported.
+
+Backward closures hand the gradients they allocate themselves to their
+inputs without a copy (``accumulate_grad(g, owned=True)``, see
+:mod:`pcq.tensor`); a gradient that is ``gy`` or a view of it is copied.
 """
 
 from functools import lru_cache
@@ -53,7 +61,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            dilation: int = 1, groups: int = 1) -> Tensor:
     """2-D cross-correlation over a [C_in, H, W] map with a [C_out, C_in/groups, kh, kw] kernel.
 
-    ``groups`` must be 1 (dense) or C_in with C_out == C_in (depthwise).
+    ``groups`` must be 1 (dense) or C_in with C_out == C_in (depthwise, stride 1 only).
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d expects rank-3 input and rank-4 weight, got {x.shape} and {w.shape}")
@@ -65,6 +73,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     elif not (groups == c_in == c_out and c_in_g == 1):
         raise ShapeError(f"conv2d supports groups=1 or depthwise (groups == C_in == C_out), "
                          f"got groups={groups} for {c_in}->{c_out} channels")
+    elif stride != 1:
+        raise ShapeError(f"depthwise conv2d supports stride 1 only, got stride {stride}")
     ho = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
     wo = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
     if ho < 1 or wo < 1:
@@ -72,7 +82,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
     if groups == 1:
         return _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation)
-    return _depthwise_conv2d(x, w, xp, ho, wo, stride, padding, dilation)
+    return _depthwise_conv2d(x, w, xp, ho, wo, padding, dilation)
 
 
 def _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
@@ -92,11 +102,11 @@ def _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
     def backward(gy):
         gy2 = gy.reshape(c_out, ho * wo)
         if w.requires_grad:
-            w.accumulate_grad((gy2 @ columns().T).reshape(w.shape))
+            w.accumulate_grad((gy2 @ columns().T).reshape(w.shape), owned=True)
         if x.requires_grad:
             gcols = w2.T @ gy2
             if pointwise:
-                x.accumulate_grad(gcols.reshape(x.shape))
+                x.accumulate_grad(gcols.reshape(x.shape), owned=True)
                 return
             gcols = gcols.reshape(c_in, kh, kw, ho, wo)
             gxp = np.zeros_like(xp)
@@ -115,40 +125,68 @@ def _channel_blocks(c: int, plane_bytes: int):
     return [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
 
 
-def _depthwise_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
+def _depthwise_taps(win, wt, blk, ob, tb):
+    """ob = sum over taps t of win[blk, t] * wt[blk, t], one multiply-add per tap."""
+    kw = win.shape[2]
+    for t in range(wt.shape[1]):
+        di, dj = divmod(t, kw)
+        if t == 0:
+            np.multiply(win[blk, di, dj], wt[blk, t], out=ob)
+        else:
+            ob += np.multiply(win[blk, di, dj], wt[blk, t], out=tb)
+
+
+def _bordered(gy: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
+    """gy placed at (top, left) in a zero [C, height, width] map; a negative offset crops gy."""
+    (r0, r1, sr), (c0, c1, sc) = _span(top, gy.shape[1], height), _span(left, gy.shape[2], width)
+    out = np.empty((gy.shape[0], height, width), dtype=gy.dtype)
+    out[:, :r0] = 0
+    out[:, r1:] = 0
+    out[:, r0:r1, :c0] = 0
+    out[:, r0:r1, c1:] = 0
+    out[:, r0:r1, c0:c1] = gy[:, sr: sr + r1 - r0, sc: sc + c1 - c0]
+    return out
+
+
+def _span(offset: int, n: int, size: int):
+    """(first, end) rows written and the first row read when n rows land at offset in size rows."""
+    dst, src = max(offset, 0), max(-offset, 0)
+    return dst, dst + min(n - src, size - dst), src
+
+
+def _depthwise_conv2d(x, w, xp, ho, wo, padding, dilation):
     c, h, wd = x.shape
     _, _, kh, kw = w.shape
-    taps = [(di, dj) for di in range(kh) for dj in range(kw)]
     wt = w.data[:, 0].reshape(c, kh * kw, 1, 1)   # per-channel tap coefficients
-    blocks = _channel_blocks(c, ho * wo * x.dtype.itemsize)
-    win = _windows2d(xp, kh, kw, ho, wo, stride, dilation)
+    blocks = _channel_blocks(c, max(ho * wo, h * wd) * x.dtype.itemsize)
+    win = _windows2d(xp, kh, kw, ho, wo, 1, dilation)
 
     out = np.empty((c, ho, wo), dtype=x.dtype)
     tmp = np.empty((blocks[0].stop, ho, wo), dtype=x.dtype)
     for blk in blocks:
-        ob, tb = out[blk], tmp[: blk.stop - blk.start]
-        for t, (di, dj) in enumerate(taps):
-            if t == 0:
-                np.multiply(win[blk, di, dj], wt[blk, t], out=ob)
-            else:
-                ob += np.multiply(win[blk, di, dj], wt[blk, t], out=tb)
+        _depthwise_taps(win, wt, blk, out[blk], tmp[: blk.stop - blk.start])
 
     def backward(gy):
+        # the input gradient is the forward tap loop over gy in a zero border,
+        # with the kernel flipped (taps in reverse order)
+        if x.requires_grad:
+            gyb = _bordered(gy, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding,
+                            h + dilation * (kh - 1), wd + dilation * (kw - 1))
+            gwin = _windows2d(gyb, kh, kw, h, wd, 1, dilation)
+            gx = np.empty_like(x.data)
+            tmp = np.empty((blocks[0].stop, h, wd), dtype=x.dtype)
         if w.requires_grad:
             gw = np.empty((c, kh * kw), dtype=w.dtype)
-            for blk in blocks:
-                for t, (di, dj) in enumerate(taps):
-                    gw[blk, t] = np.einsum("chw,chw->c", gy[blk], win[blk, di, dj])
-            w.accumulate_grad(gw.reshape(w.shape))
+        for blk in blocks:
+            if x.requires_grad:
+                _depthwise_taps(gwin, wt[:, ::-1], blk, gx[blk], tmp[: blk.stop - blk.start])
+            if w.requires_grad:
+                for t in range(kh * kw):
+                    gw[blk, t] = np.einsum("chw,chw->c", gy[blk], win[blk, t // kw, t % kw])
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            gwin = _windows2d(gxp, kh, kw, ho, wo, stride, dilation)
-            tmp = np.empty((blocks[0].stop, ho, wo), dtype=x.dtype)
-            for blk in blocks:
-                tb = tmp[: blk.stop - blk.start]
-                for t, (di, dj) in enumerate(taps):
-                    gwin[blk, di, dj] += np.multiply(gy[blk], wt[blk, t], out=tb)
-            x.accumulate_grad(gxp[:, padding: padding + h, padding: padding + wd])
+            x.accumulate_grad(gx, owned=True)
+        if w.requires_grad:
+            w.accumulate_grad(gw.reshape(w.shape), owned=True)
 
     return make_node(out, (x, w), backward)
 
@@ -270,7 +308,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def backward(gy):
         if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(gy[:, None, None] / (h * w), x.shape).astype(x.dtype))
+            gx = np.empty_like(x.data)
+            gx[...] = (gy / (h * w))[:, None, None]
+            x.accumulate_grad(gx, owned=True)
 
     return make_node(out, (x,), backward)
 
@@ -301,7 +341,7 @@ def max_pool2x2(x: Tensor) -> Tensor:
                 hit &= free
                 free &= ~hit
                 np.multiply(gy, hit, out=view(gx, r, c))   # the first corner equal to the max wins ties
-            x.accumulate_grad(gx)
+            x.accumulate_grad(gx, owned=True)
 
     return make_node(out, (x,), backward)
 
@@ -353,7 +393,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(gy):
         if x.requires_grad:
-            x.accumulate_grad(gy * (x.data > 0))
+            x.accumulate_grad(gy * (out > 0), owned=True)
 
     return make_node(out, (x,), backward)
 
@@ -383,6 +423,20 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _mul_grad(gy: np.ndarray, other: np.ndarray, shape) -> np.ndarray:
+    """Fresh gradient of one factor of a product: gy * other, summed over its broadcast axes.
+
+    A map's [C, 1, 1] or [1, H, W] factor (the SE gate, the pooled query) takes
+    one contraction instead of a full-size product and a sum.
+    """
+    if gy.ndim == 3 and other.shape == gy.shape:
+        if shape == (gy.shape[0], 1, 1):
+            return np.einsum("chw,chw->c", gy, other).reshape(shape)
+        if shape == (1,) + gy.shape[1:]:
+            return np.einsum("chw,chw->hw", gy, other).reshape(shape)
+    return _unbroadcast(gy * other, shape)
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting (e.g. [C,H,W] * [C,1,1] or * [1,H,W])."""
     try:
@@ -392,9 +446,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(gy):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(gy * b.data, a.shape))
+            a.accumulate_grad(_mul_grad(gy, b.data, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(gy * a.data, b.shape))
+            b.accumulate_grad(_mul_grad(gy, a.data, b.shape), owned=True)
 
     return make_node(out, (a, b), backward)
 

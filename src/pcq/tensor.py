@@ -5,6 +5,19 @@ backward closure. Calling ``backward()`` on a scalar output walks the graph in
 reverse topological order and accumulates gradients into ``grad`` buffers of the
 same shape and dtype as the data. Training runs in float32; gradient checking
 re-runs the same graph in float64.
+
+Gradient lifetime: leaves (parameters, and inputs made with
+``requires_grad=True``) keep their ``.grad`` after ``backward()``, and repeated
+backward passes add into it until ``zero_grad()``. A non-leaf node's gradient
+is dropped (``grad = None``) as soon as its closure has used it, so a finished
+backward pass holds no intermediate gradient.
+
+Gradient ownership: ``accumulate_grad(g)`` copies ``g`` when it becomes the
+first gradient, so a closure may pass ``gy`` or any view. A closure that
+allocated ``g`` itself, and keeps no other reference to it, may instead hand it
+over with ``accumulate_grad(g, owned=True)``; the node then adds into that very
+buffer. Never hand over ``gy``, a view of ``gy``, or a view of any buffer that
+is still alive elsewhere (an input's data, a cached matrix).
 """
 
 from contextlib import contextmanager
@@ -24,10 +37,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -73,9 +82,13 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
+        """Add g into grad; owned=True hands over a fresh buffer without a copy."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -84,13 +97,11 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
-        self.accumulate_grad(np.ones_like(self.data))
+        self.accumulate_grad(np.ones_like(self.data), owned=True)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
+                node.grad = None   # consumed: only leaves keep their gradient
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

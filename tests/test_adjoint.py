@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pcq import ops
+from pcq.errors import ShapeError
 from pcq.tensor import Tensor
 
 SEEDS = (0, 1, 2)
@@ -89,6 +90,42 @@ def test_depthwise_split_into_channel_blocks():
     x, w = _t(rng, (5, 128, 128)), _t(rng, (5, 1, 3, 3))
     assert len(ops._channel_blocks(5, 128 * 128 * 8)) == 3
     assert_adjoint(lambda: ops.depthwise_conv3x3(x, w), [x, w], 3)
+
+
+@pytest.mark.parametrize("dilation", (1, 2, 5))
+@pytest.mark.parametrize("c, h, w", [(3, 9, 7), (2, 37, 25)])
+def test_depthwise_flipped_kernel_input_gradient(dilation, c, h, w):
+    # backward runs the forward tap loop over gy in a zero border with the
+    # kernel flipped; odd map sizes such as 37x25 (mlcnn.layers.2 output) and
+    # dilations wider than the map's border exercise every edge of that border
+    rng = np.random.default_rng(40 + dilation)
+    x, k = _t(rng, (c, h, w)), _t(rng, (c, 1, 3, 3))
+    assert_adjoint(lambda: ops.conv2d(x, k, padding=dilation, dilation=dilation, groups=c),
+                   [x, k], dilation)
+
+
+@pytest.mark.parametrize("padding", (0, 1, 4))
+def test_depthwise_padding_other_than_dilation(padding):
+    # the zero border is dilation*(k-1) - padding wide: positive, zero or
+    # (padding 4 at dilation 1) negative, which crops gy instead
+    rng = np.random.default_rng(60 + padding)
+    x, k = _t(rng, (2, 11, 8)), _t(rng, (2, 1, 3, 3))
+    assert_adjoint(lambda: ops.conv2d(x, k, padding=padding, groups=2), [x, k], padding)
+
+
+def test_depthwise_multi_block_odd_map_dilation5():
+    # 181x181 float64 planes are 262 KB, one channel per 256 KB block: three
+    # single-channel blocks
+    rng = np.random.default_rng(8)
+    x, k = _t(rng, (3, 181, 181)), _t(rng, (3, 1, 3, 3))
+    assert len(ops._channel_blocks(3, 181 * 181 * 8)) == 3
+    assert_adjoint(lambda: ops.conv2d(x, k, padding=5, dilation=5, groups=3), [x, k], 8)
+
+
+def test_depthwise_rejects_stride_2():
+    x, k = Tensor(np.ones((4, 8, 8))), Tensor(np.ones((4, 1, 3, 3)))
+    with pytest.raises(ShapeError, match="stride 1"):
+        ops.conv2d(x, k, stride=2, padding=1, groups=4)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

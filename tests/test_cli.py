@@ -115,6 +115,56 @@ class TestTrainEvalExport:
         assert rc == 2
 
 
+class TestCheckpointReadErrors:
+    """Every unreadable checkpoint exits 3 with a one-line message."""
+
+    def _eval(self, workdir, trained, tmp_path, ckpt_bytes, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        if ckpt_bytes is not None:
+            ckpt.write_bytes(ckpt_bytes)
+        rc = main(["eval", "--ckpt", str(ckpt), "--config", str(trained / "config.json"),
+                   "--manifest", manifest(workdir), "--features", str(workdir / "feat"),
+                   "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert len(err.strip().splitlines()) == 1, err
+        assert not (tmp_path / "p.csv").exists()
+        return err
+
+    @staticmethod
+    def _good(trained) -> bytes:
+        return (trained / "best.ckpt").read_bytes()
+
+    @staticmethod
+    def _rewrite(raw: bytes, edit) -> bytes:
+        header, _, blob = raw.partition(b"\n")
+        entries = json.loads(header)
+        edit(entries)
+        return json.dumps(entries).encode() + b"\n" + blob
+
+    def test_missing_file(self, workdir, trained, tmp_path, capsys):
+        assert "cannot read checkpoint" in self._eval(workdir, trained, tmp_path, None, capsys)
+
+    def test_header_not_json(self, workdir, trained, tmp_path, capsys):
+        raw = b"{not json\n" + self._good(trained).partition(b"\n")[2]
+        assert "no valid JSON header" in self._eval(workdir, trained, tmp_path, raw, capsys)
+
+    def test_truncated_blob(self, workdir, trained, tmp_path, capsys):
+        raw = self._good(trained)
+        assert "truncated" in self._eval(workdir, trained, tmp_path, raw[: len(raw) // 2], capsys)
+
+    def test_missing_tensor(self, workdir, trained, tmp_path, capsys):
+        raw = self._rewrite(self._good(trained), lambda entries: entries.pop())
+        err = self._eval(workdir, trained, tmp_path, raw, capsys)
+        assert "missing [fc2.bias]" in err and "extra []" in err
+
+    def test_extra_tensor(self, workdir, trained, tmp_path, capsys):
+        def add(entries):
+            entries.append(dict(entries[0], name="stray.weight"))
+        err = self._eval(workdir, trained, tmp_path, self._rewrite(self._good(trained), add), capsys)
+        assert "missing []" in err and "extra [stray.weight]" in err
+
+
 class TestCvAndParams:
     def test_cv_short_run_writes_reports(self, workdir):
         out = workdir / "cv"
