@@ -6,6 +6,7 @@ manifest's directory.
 """
 
 import csv
+import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -122,7 +123,7 @@ def read_wav(path, source_id: str | None = None) -> AudioClip:
         raise DataError(f"audio file not found: {path}")
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
+    except (ValueError, struct.error) as exc:   # struct.error: a file cut inside its header
         raise DataError(f"cannot read WAV {path}: {exc}") from exc
     if data.ndim != 1:
         raise InvalidInput(f"{path}: expected mono audio, got shape {data.shape}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, PcqError
 
 SAMPLE_RATE = 16_000
 SEGMENT_SECONDS = 3
@@ -159,7 +159,7 @@ def batch_features(rows, out_dir, log1p: bool = False, read_clip=None) -> Featur
                     "shape": [N_FRAMES, N_BINS],
                 })
                 report.written += 1
-        except Exception as exc:  # per-row failures must not stop the batch
+        except (PcqError, OSError) as exc:  # a bad row must not stop the batch; a bug must
             report.errors.append({"clip_id": row.clip_id, "error": str(exc)})
     entries.sort(key=lambda e: (e["clip_id"], e["segment_index"]))
     index = {"log1p": bool(log1p), "entries": entries}

@@ -1,11 +1,14 @@
 """Speech-side encoder branch and its single-channel query tokens.
 
 Two interchangeable backends produce a [T, D] frame sequence from a 3 s
-segment: a small trainable stack of strided 1-D convolutions (stride product
-320, so 48000 samples -> 150 frames), or a loader for embeddings exported
-offline by a pretrained model (e.g. 768-wide final-layer features). A learned
-projection turns the sequence into the first query token Q1; Q2 and Q3 are
-parameter-free adaptive-pool reductions of Q1.
+segment: a small trainable stack of 1-D convolutions, or a loader for
+embeddings exported offline by a pretrained model (e.g. 768-wide final-layer
+features). The stand-in runs time-major: the samples enter as a [48000, 1]
+sequence, and each layer's window equals its stride (5, 4, 4, 4; product 320),
+so every layer maps [L, C] to [L / k, D] and the last one gives the 150
+frames [T, D] directly. A learned projection turns the sequence into the
+first query token Q1; Q2 and Q3 are parameter-free adaptive-pool reductions
+of Q1.
 """
 
 import json
@@ -30,23 +33,19 @@ class EncoderOutput:
     frames: Tensor
 
     @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.frames.shape[1]
 
 
 class StandinEncoder(Module):
-    """Trainable stand-in: strided 1-D convs with kernel == stride per layer."""
+    """Trainable stand-in: time-major 1-D convs with window == stride per layer."""
 
     def __init__(self, rng, dim: int = 64):
         super().__init__()
         self.dim = dim
         chans = (1,) + (dim,) * len(STANDIN_STRIDES)
         self.convs = ModuleList(
-            Conv1d(rng, c_in, c_out, k=s, stride=s)
+            Conv1d(rng, c_in, c_out, k=s)
             for c_in, c_out, s in zip(chans[:-1], chans[1:], STANDIN_STRIDES))
 
     def forward(self, segment: Segment, dtype=None) -> EncoderOutput:
@@ -55,12 +54,12 @@ class StandinEncoder(Module):
         # trainable path: the audio tensor must match the parameter dtype so
         # gradients flow in one precision; the dtype argument only matters for
         # the parameter-free precomputed backend
-        x = Tensor(segment.samples.reshape(1, -1), dtype=self.convs[0].weight.dtype)
+        x = Tensor(segment.samples.reshape(-1, 1), dtype=self.convs[0].weight.dtype)
         for i, conv in enumerate(self.convs):
             x = conv(x)
             if i + 1 < len(self.convs):
                 x = ops.relu(x)
-        return EncoderOutput(frames=ops.transpose2d(x))
+        return EncoderOutput(frames=x)
 
 
 class PrecomputedEncoder(Module):

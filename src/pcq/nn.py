@@ -138,29 +138,28 @@ def zeros_param(shape) -> Parameter:
 
 
 class Conv2d(Module):
-    """Bias-free 2-D convolution layer."""
+    """Bias-free stride-1 2-D convolution layer."""
 
-    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int = 1,
+    def __init__(self, rng, c_in: int, c_out: int, k: int,
                  padding: int = 0, dilation: int = 1, groups: int = 1):
         super().__init__()
-        self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
+        self.padding, self.dilation, self.groups = padding, dilation, groups
         self.weight = conv2d_weight(rng, c_out, c_in // groups, k)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding,
-                          dilation=self.dilation, groups=self.groups)
+        return ops.conv2d(x, self.weight, padding=self.padding, dilation=self.dilation,
+                          groups=self.groups)
 
 
 class Conv1d(Module):
-    """Bias-free 1-D convolution layer."""
+    """Bias-free 1-D convolution layer over a time-major [L, C_in] sequence, window = stride = k."""
 
-    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int = 1):
+    def __init__(self, rng, c_in: int, c_out: int, k: int):
         super().__init__()
-        self.stride = stride
         self.weight = conv1d_weight(rng, c_out, c_in, k)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv1d(x, self.weight, stride=self.stride)
+        return ops.conv1d(x, self.weight)
 
 
 class Linear(Module):

@@ -7,23 +7,34 @@ float64 for finite-difference verification.
 
 How the convolutions are computed:
 
-- Dense ``conv2d`` (``groups == 1``) and ``conv1d`` are one GEMM each way
-  (im2col): a transient column matrix [C_in*kh*kw, Ho*Wo] is copied out of the
-  (padded) input and multiplied by the flattened kernel. Backward rebuilds the
-  columns from the input the closure already holds, does one GEMM for the
-  weight gradient and one for the column gradient, and scatters the latter
-  back with one strided add per kernel tap (col2im). Column matrices are never
-  kept on the graph. A 1x1 stride-1 unpadded conv multiplies the input
-  reshaped to [C_in, H*W] directly.
+- ``conv2d`` is stride 1 only, over one flat padded-width layout (implicit
+  GEMM; Chellapilla et al. 2006, Vasudevan et al. 2017). The input is placed
+  at (p, p) in a zero [C, H+2p+1, Wp] map, Wp = W+2p, built without ``np.pad``
+  (``_bordered``) and viewed as [C, (H+2p+1)*Wp]. The window of kernel tap
+  (di, dj) over the whole output is then one contiguous slice, starting at
+  d*(di*Wp + dj) and Ho*Wp long. Outputs come out Wp wide; the last Wp - Wo
+  columns of each row are dropped once, by one crop into a fresh map. The
+  spare zero row keeps the last tap's slice in bounds.
+- Dense ``conv2d`` (``groups == 1``) is one GEMM each way: forward fills a
+  transient column matrix [C_in*kh*kw, Ho*Wp] with one slice copy per tap.
+  Backward widens ``gy`` once to [C_out, Ho*Wp], zero in the dropped columns,
+  and uses it for both GEMMs; the column gradient goes back by one slice-add
+  per tap into one flat zero map, cropped once. Column matrices are rebuilt
+  in backward, never kept on the graph. A 1x1 unpadded conv multiplies the
+  input reshaped to [C_in, H*W] directly.
 - Depthwise ``conv2d`` (``groups == C_in == C_out``) has no GEMM to form; it
-  loops over the kernel taps, one multiply-add per tap, over blocks of
-  channels small enough (``DEPTHWISE_BLOCK_BYTES``) that the tap temporaries
-  stay in cache. im2col would take kh*kw times the map's memory. Depthwise
-  needs stride 1, so its backward reuses the forward tap loop: the input
-  gradient is that loop run over ``gy`` in a zero border with the kernel
-  flipped, written straight into a fresh [C, H, W] buffer, and the weight
-  gradient's per-tap contractions run in the same channel-block pass.
+  loops over the kernel taps, one multiply-add per tap and slice, over blocks
+  of channels small enough (``DEPTHWISE_BLOCK_BYTES``) that the tap
+  temporaries stay in cache. im2col would take kh*kw times the map's memory.
+  Backward reuses the tap loop: the input gradient is that loop run over
+  ``gy`` in the same layout, in a zero border d*(k-1) - p wide, with the taps
+  reversed; the weight gradient's per-tap contractions run over the same
+  slices in the same channel-block pass.
 - Other groupings are not supported.
+- ``conv1d`` is time-major with window = stride = k: [L, C_in] -> [L // k,
+  C_out]. Its column matrix is a free reshape of the input, [L // k, k*C_in],
+  multiplied by the kernel reordered to [k*C_in, C_out]; backward's input
+  gradient is the reshape back.
 
 Backward closures hand the gradients they allocate themselves to their
 inputs without a copy (``accumulate_grad(g, owned=True)``, see
@@ -46,22 +57,10 @@ DEPTHWISE_BLOCK_BYTES = 256 * 1024
 # convolutions
 
 
-def _windows2d(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int, dilation: int):
-    """[C, kh, kw, Ho, Wo] view of every kernel tap's strided window of a padded map.
+def conv2d(x: Tensor, w: Tensor, padding: int = 0, dilation: int = 1, groups: int = 1) -> Tensor:
+    """Stride-1 2-D cross-correlation over a [C_in, H, W] map with a [C_out, C_in/groups, kh, kw] kernel.
 
-    The windows of different taps overlap, so write through one tap at a time.
-    """
-    sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, shape=(xp.shape[0], kh, kw, ho, wo),
-        strides=(sc, dilation * sh, dilation * sw, stride * sh, stride * sw))
-
-
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-           dilation: int = 1, groups: int = 1) -> Tensor:
-    """2-D cross-correlation over a [C_in, H, W] map with a [C_out, C_in/groups, kh, kw] kernel.
-
-    ``groups`` must be 1 (dense) or C_in with C_out == C_in (depthwise, stride 1 only).
+    ``groups`` must be 1 (dense) or C_in with C_out == C_in (depthwise).
     """
     if x.ndim != 3 or w.ndim != 4:
         raise ShapeError(f"conv2d expects rank-3 input and rank-4 weight, got {x.shape} and {w.shape}")
@@ -73,48 +72,80 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     elif not (groups == c_in == c_out and c_in_g == 1):
         raise ShapeError(f"conv2d supports groups=1 or depthwise (groups == C_in == C_out), "
                          f"got groups={groups} for {c_in}->{c_out} channels")
-    elif stride != 1:
-        raise ShapeError(f"depthwise conv2d supports stride 1 only, got stride {stride}")
-    ho = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-    wo = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    ho = h + 2 * padding - dilation * (kh - 1)
+    wo = wd + 2 * padding - dilation * (kw - 1)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    if groups == 1:
-        return _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation)
-    return _depthwise_conv2d(x, w, xp, ho, wo, padding, dilation)
+    if groups != 1:
+        return _depthwise_conv2d(x, w, padding, dilation, ho, wo)
+    if kh == kw == 1 and padding == 0:
+        return _pointwise_conv2d(x, w)
+    return _dense_conv2d(x, w, padding, dilation, ho, wo)
 
 
-def _dense_conv2d(x, w, xp, ho, wo, stride, padding, dilation):
+def _flat_bordered(a: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
+    """a at (top, left) in a zero [C, height + 1, width] map, viewed as [C, (height + 1) * width].
+
+    The spare zero row keeps the slice of the last kernel tap in bounds.
+    """
+    return _bordered(a, top, left, height + 1, width).reshape(a.shape[0], -1)
+
+
+def _tap_offsets(kh: int, kw: int, width: int, dilation: int) -> list:
+    """Flat offset of each kernel tap, in row-major tap order, in a map `width` wide."""
+    return [dilation * (di * width + dj) for di in range(kh) for dj in range(kw)]
+
+
+def _crop(flat: np.ndarray, width: int, top: int, left: int, rows: int, cols: int) -> np.ndarray:
+    """Fresh [C, rows, cols] copy of the window at (top, left) of a flat map `width` wide."""
+    grid = flat.reshape(flat.shape[0], -1, width)
+    return np.ascontiguousarray(grid[:, top: top + rows, left: left + cols])
+
+
+def _pointwise_conv2d(x, w):
     c_in, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    pointwise = kh == kw == 1 and stride == 1 and padding == 0
-
-    def columns():
-        if pointwise:
-            return x.data.reshape(c_in, h * wd)
-        win = _windows2d(xp, kh, kw, ho, wo, stride, dilation)
-        return np.ascontiguousarray(win).reshape(c_in * kh * kw, ho * wo)
-
-    w2 = w.data.reshape(c_out, -1)
-    out = (w2 @ columns()).reshape(c_out, ho, wo)
+    c_out = w.shape[0]
+    x2 = x.data.reshape(c_in, h * wd)
+    w2 = w.data.reshape(c_out, c_in)
+    out = (w2 @ x2).reshape(c_out, h, wd)
 
     def backward(gy):
-        gy2 = gy.reshape(c_out, ho * wo)
+        gy2 = gy.reshape(c_out, h * wd)
         if w.requires_grad:
-            w.accumulate_grad((gy2 @ columns().T).reshape(w.shape), owned=True)
+            w.accumulate_grad((gy2 @ x2.T).reshape(w.shape), owned=True)
         if x.requires_grad:
-            gcols = w2.T @ gy2
-            if pointwise:
-                x.accumulate_grad(gcols.reshape(x.shape), owned=True)
-                return
-            gcols = gcols.reshape(c_in, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
-            gwin = _windows2d(gxp, kh, kw, ho, wo, stride, dilation)
-            for di in range(kh):
-                for dj in range(kw):
-                    gwin[:, di, dj] += gcols[:, di, dj]
-            x.accumulate_grad(gxp[:, padding: padding + h, padding: padding + wd])
+            x.accumulate_grad((w2.T @ gy2).reshape(x.shape), owned=True)
+
+    return make_node(out, (x, w), backward)
+
+
+def _dense_conv2d(x, w, padding, dilation, ho, wo):
+    c_in, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    wp = wd + 2 * padding
+    n = ho * wp   # outputs per channel, Wp wide
+    taps = _tap_offsets(kh, kw, wp, dilation)
+    xf = _flat_bordered(x.data, padding, padding, h + 2 * padding, wp)
+
+    def columns():
+        cols = np.empty((c_in, len(taps), n), dtype=x.dtype)
+        for t, s in enumerate(taps):
+            cols[:, t] = xf[:, s: s + n]
+        return cols.reshape(c_in * len(taps), n)
+
+    w2 = w.data.reshape(c_out, -1)
+    out = _crop(w2 @ columns(), wp, 0, 0, ho, wo)
+
+    def backward(gy):
+        gyw = _bordered(gy, 0, 0, ho, wp).reshape(c_out, n)   # dropped columns take no gradient
+        if w.requires_grad:
+            w.accumulate_grad((gyw @ columns().T).reshape(w.shape), owned=True)
+        if x.requires_grad:
+            gcols = (w2.T @ gyw).reshape(c_in, len(taps), n)
+            gxf = np.zeros_like(xf)
+            for t, s in enumerate(taps):
+                gxf[:, s: s + n] += gcols[:, t]
+            x.accumulate_grad(_crop(gxf, wp, padding, padding, h, wd), owned=True)
 
     return make_node(out, (x, w), backward)
 
@@ -125,26 +156,24 @@ def _channel_blocks(c: int, plane_bytes: int):
     return [slice(c0, min(c0 + step, c)) for c0 in range(0, c, step)]
 
 
-def _depthwise_taps(win, wt, blk, ob, tb):
-    """ob = sum over taps t of win[blk, t] * wt[blk, t], one multiply-add per tap."""
-    kw = win.shape[2]
-    for t in range(wt.shape[1]):
-        di, dj = divmod(t, kw)
+def _depthwise_taps(src, taps, n, wt, blk, ob, tb):
+    """ob = sum over taps t of src[blk, taps[t]:][:n] * wt[blk, t], one multiply-add per tap."""
+    for t, s in enumerate(taps):
         if t == 0:
-            np.multiply(win[blk, di, dj], wt[blk, t], out=ob)
+            np.multiply(src[blk, s: s + n], wt[blk, t], out=ob)
         else:
-            ob += np.multiply(win[blk, di, dj], wt[blk, t], out=tb)
+            ob += np.multiply(src[blk, s: s + n], wt[blk, t], out=tb)
 
 
-def _bordered(gy: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
-    """gy placed at (top, left) in a zero [C, height, width] map; a negative offset crops gy."""
-    (r0, r1, sr), (c0, c1, sc) = _span(top, gy.shape[1], height), _span(left, gy.shape[2], width)
-    out = np.empty((gy.shape[0], height, width), dtype=gy.dtype)
+def _bordered(a: np.ndarray, top: int, left: int, height: int, width: int) -> np.ndarray:
+    """a placed at (top, left) in a zero [C, height, width] map; a negative offset crops a."""
+    (r0, r1, sr), (c0, c1, sc) = _span(top, a.shape[1], height), _span(left, a.shape[2], width)
+    out = np.empty((a.shape[0], height, width), dtype=a.dtype)
     out[:, :r0] = 0
     out[:, r1:] = 0
     out[:, r0:r1, :c0] = 0
     out[:, r0:r1, c1:] = 0
-    out[:, r0:r1, c0:c1] = gy[:, sr: sr + r1 - r0, sc: sc + c1 - c0]
+    out[:, r0:r1, c0:c1] = a[:, sr: sr + r1 - r0, sc: sc + c1 - c0]
     return out
 
 
@@ -154,37 +183,49 @@ def _span(offset: int, n: int, size: int):
     return dst, dst + min(n - src, size - dst), src
 
 
-def _depthwise_conv2d(x, w, xp, ho, wo, padding, dilation):
+def _depthwise_conv2d(x, w, padding, dilation, ho, wo):
     c, h, wd = x.shape
     _, _, kh, kw = w.shape
-    wt = w.data[:, 0].reshape(c, kh * kw, 1, 1)   # per-channel tap coefficients
-    blocks = _channel_blocks(c, max(ho * wo, h * wd) * x.dtype.itemsize)
-    win = _windows2d(xp, kh, kw, ho, wo, 1, dilation)
+    wp = wd + 2 * padding
+    n = ho * wp   # outputs per channel, Wp wide
+    taps = _tap_offsets(kh, kw, wp, dilation)
+    xf = _flat_bordered(x.data, padding, padding, h + 2 * padding, wp)
+    wt = w.data[:, 0].reshape(c, kh * kw, 1)   # per-channel tap coefficients
+    # the input gradient is the same tap loop, taps reversed, over gy in a zero
+    # border dilation*(k-1) - padding wide: a map gwd wide, h*gwd outputs per channel
+    gwd = wd + dilation * (kw - 1)
+    gn = h * gwd
+    blocks = _channel_blocks(c, max(n, gn) * x.dtype.itemsize)
 
-    out = np.empty((c, ho, wo), dtype=x.dtype)
-    tmp = np.empty((blocks[0].stop, ho, wo), dtype=x.dtype)
+    outw = np.empty((c, n), dtype=x.dtype)
+    tmp = np.empty((blocks[0].stop, n), dtype=x.dtype)
     for blk in blocks:
-        _depthwise_taps(win, wt, blk, out[blk], tmp[: blk.stop - blk.start])
+        _depthwise_taps(xf, taps, n, wt, blk, outw[blk], tmp[: blk.stop - blk.start])
+    out = _crop(outw, wp, 0, 0, ho, wo)
 
     def backward(gy):
-        # the input gradient is the forward tap loop over gy in a zero border,
-        # with the kernel flipped (taps in reverse order)
+        gyf = _flat_bordered(gy, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding,
+                             h + dilation * (kh - 1), gwd)
+        if 2 * padding == dilation * (kh - 1) == dilation * (kw - 1):
+            # "same" padding: gy sits at (p, p) in a map Wp wide, so the flat
+            # slice from there is gy widened to Wp, zero in the dropped columns
+            gyw = gyf[:, padding * (wp + 1): padding * (wp + 1) + n]
+        else:
+            gyw = _bordered(gy, 0, 0, ho, wp).reshape(c, n)
         if x.requires_grad:
-            gyb = _bordered(gy, dilation * (kh - 1) - padding, dilation * (kw - 1) - padding,
-                            h + dilation * (kh - 1), wd + dilation * (kw - 1))
-            gwin = _windows2d(gyb, kh, kw, h, wd, 1, dilation)
-            gx = np.empty_like(x.data)
-            tmp = np.empty((blocks[0].stop, h, wd), dtype=x.dtype)
+            gtaps = _tap_offsets(kh, kw, gwd, dilation)
+            gxw = np.empty((c, gn), dtype=x.dtype)
+            tmp = np.empty((blocks[0].stop, gn), dtype=x.dtype)
         if w.requires_grad:
             gw = np.empty((c, kh * kw), dtype=w.dtype)
         for blk in blocks:
             if x.requires_grad:
-                _depthwise_taps(gwin, wt[:, ::-1], blk, gx[blk], tmp[: blk.stop - blk.start])
+                _depthwise_taps(gyf, gtaps, gn, wt[:, ::-1], blk, gxw[blk], tmp[: blk.stop - blk.start])
             if w.requires_grad:
-                for t in range(kh * kw):
-                    gw[blk, t] = np.einsum("chw,chw->c", gy[blk], win[blk, t // kw, t % kw])
+                for t, s in enumerate(taps):
+                    gw[blk, t] = np.einsum("cq,cq->c", gyw[blk], xf[blk, s: s + n])
         if x.requires_grad:
-            x.accumulate_grad(gx, owned=True)
+            x.accumulate_grad(_crop(gxw, gwd, 0, 0, h, wd), owned=True)
         if w.requires_grad:
             w.accumulate_grad(gw.reshape(w.shape), owned=True)
 
@@ -193,39 +234,37 @@ def _depthwise_conv2d(x, w, xp, ho, wo, padding, dilation):
 
 def depthwise_conv3x3(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Per-channel 3x3 conv (groups == C), padding chosen to preserve H and W."""
-    return conv2d(x, w, stride=1, padding=dilation, dilation=dilation, groups=x.shape[0])
+    return conv2d(x, w, padding=dilation, dilation=dilation, groups=x.shape[0])
 
 
-def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """1-D cross-correlation over a [C_in, L] sequence with a [C_out, C_in, k] kernel."""
+def conv1d(x: Tensor, w: Tensor) -> Tensor:
+    """1-D cross-correlation of a time-major [L, C_in] sequence with a [C_out, C_in, k] kernel.
+
+    Windows do not overlap (window = stride = k), so the output is [L // k, C_out];
+    trailing samples that fill no window are ignored.
+    """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"conv1d expects rank-2 input and rank-3 weight, got {x.shape} and {w.shape}")
-    c_in, length = x.shape
+    length, c_in = x.shape
     c_out, c_in_w, k = w.shape
     if c_in_w != c_in:
         raise ShapeError(f"weight expects {c_in_w} input channels, got {c_in}")
-    lo = (length - k) // stride + 1
+    lo = length // k
     if lo < 1:
         raise ShapeError(f"conv1d output would be empty for input length {length}")
-
-    def columns():
-        sc, sl = x.data.strides
-        win = np.lib.stride_tricks.as_strided(x.data, shape=(c_in, k, lo),
-                                              strides=(sc, sl, stride * sl), writeable=False)
-        return np.ascontiguousarray(win).reshape(c_in * k, lo)
-
-    w2 = w.data.reshape(c_out, c_in * k)
-    out = w2 @ columns()
+    cols = x.data[: lo * k].reshape(lo, k * c_in)              # row i: window i, tap-major
+    w2 = w.data.transpose(2, 1, 0).reshape(k * c_in, c_out)   # [tap, channel] x C_out
+    out = cols @ w2
 
     def backward(gy):
         if w.requires_grad:
-            w.accumulate_grad((gy @ columns().T).reshape(w.shape))
+            gw = (cols.T @ gy).reshape(k, c_in, c_out).transpose(2, 1, 0)
+            w.accumulate_grad(np.ascontiguousarray(gw), owned=True)
         if x.requires_grad:
-            gcols = (w2.T @ gy).reshape(c_in, k, lo)
-            gx = np.zeros_like(x.data)
-            for t in range(k):
-                gx[:, t: t + (lo - 1) * stride + 1: stride] += gcols[:, t]
-            x.accumulate_grad(gx)
+            gx = (gy @ w2.T).reshape(lo * k, c_in)
+            if lo * k < length:   # trailing samples take no gradient
+                gx = np.concatenate([gx, np.zeros((length - lo * k, c_in), dtype=gx.dtype)])
+            x.accumulate_grad(gx, owned=True)
 
     return make_node(out, (x, w), backward)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pcq import ops
-from pcq.errors import ShapeError
 from pcq.tensor import Tensor
 
 SEEDS = (0, 1, 2)
@@ -52,11 +51,12 @@ class TestConvolutions:
         x, w = _t(rng, (c_in, _size(rng, 2, 12), _size(rng, 2, 12))), _t(rng, (c_out, c_in, 1, 1))
         assert_adjoint(lambda: ops.conv2d(x, w), [x, w], seed)
 
-    def test_conv2d_3x3_stride2_pad1(self, seed):
+    def test_conv2d_3x3_pad1_odd_map(self, seed):
         rng = np.random.default_rng(seed)
         c_in, c_out = _size(rng, 1, 4), _size(rng, 1, 4)
-        x, w = _t(rng, (c_in, _size(rng, 3, 13), _size(rng, 3, 13))), _t(rng, (c_out, c_in, 3, 3))
-        assert_adjoint(lambda: ops.conv2d(x, w, stride=2, padding=1), [x, w], seed)
+        h, wd = 2 * _size(rng, 1, 6) + 1, 2 * _size(rng, 1, 6) + 1
+        x, w = _t(rng, (c_in, h, wd)), _t(rng, (c_out, c_in, 3, 3))
+        assert_adjoint(lambda: ops.conv2d(x, w, padding=1), [x, w], seed)
 
     def test_conv2d_3x3_dilation7(self, seed):
         rng = np.random.default_rng(seed)
@@ -71,24 +71,36 @@ class TestConvolutions:
         assert_adjoint(lambda: ops.depthwise_conv3x3(x, w, dilation=2), [x, w], seed)
 
     def test_conv1d_kernel_equals_stride(self, seed):
+        # time-major input, once a whole number of windows long and once with
+        # trailing samples that fill no window
         rng = np.random.default_rng(seed)
         c_in, c_out, k = _size(rng, 1, 4), _size(rng, 1, 4), _size(rng, 2, 5)
-        x, w = _t(rng, (c_in, _size(rng, k, 40))), _t(rng, (c_out, c_in, k))
-        assert_adjoint(lambda: ops.conv1d(x, w, stride=k), [x, w], seed)
+        lo = _size(rng, 1, 8)
+        w = _t(rng, (c_out, c_in, k))
+        for length in (lo * k, lo * k + _size(rng, 1, k - 1)):
+            x = _t(rng, (length, c_in))
+            assert_adjoint(lambda: ops.conv1d(x, w), [x, w], seed)
+            w.grad = None
 
-    def test_conv1d_overlapping_windows(self, seed):
-        rng = np.random.default_rng(seed)
-        c_in, c_out = _size(rng, 1, 4), _size(rng, 1, 4)
-        x, w = _t(rng, (c_in, _size(rng, 5, 40))), _t(rng, (c_out, c_in, 5))
-        assert_adjoint(lambda: ops.conv1d(x, w, stride=2), [x, w], seed)
+
+@pytest.mark.parametrize("c_in, c_out, h, w, dilation", [
+    (1, 4, 40, 32, 1),    # mlcnn.layers.0.trans: one input channel
+    (3, 3, 5, 4, 7),      # a CSQ branch at miniature scale: the border is wider than the map
+    (3, 2, 37, 25, 1),    # the odd 37x25 output of mlcnn.layers.2, input to layers.3
+])
+def test_dense_conv2d_layout_edges(c_in, c_out, h, w, dilation):
+    rng = np.random.default_rng(h)
+    x, k = _t(rng, (c_in, h, w)), _t(rng, (c_out, c_in, 3, 3))
+    assert_adjoint(lambda: ops.conv2d(x, k, padding=dilation, dilation=dilation), [x, k], h)
 
 
 def test_depthwise_split_into_channel_blocks():
-    # 128x128 float64 planes are 128 KB, so the 256 KB blocks hold two channels:
-    # five channels run as blocks of 2, 2 and a short last block of 1
+    # the tap loop runs over 126x128 planes (the map plus its one-column border
+    # on each side); in float64 that is 126 KB, so the 256 KB blocks hold two
+    # channels: five channels run as blocks of 2, 2 and a short last block of 1
     rng = np.random.default_rng(3)
-    x, w = _t(rng, (5, 128, 128)), _t(rng, (5, 1, 3, 3))
-    assert len(ops._channel_blocks(5, 128 * 128 * 8)) == 3
+    x, w = _t(rng, (5, 126, 126)), _t(rng, (5, 1, 3, 3))
+    assert len(ops._channel_blocks(5, 126 * 128 * 8)) == 3
     assert_adjoint(lambda: ops.depthwise_conv3x3(x, w), [x, w], 3)
 
 
@@ -123,8 +135,9 @@ def test_depthwise_multi_block_odd_map_dilation5():
 
 
 def test_depthwise_rejects_stride_2():
+    # conv2d is stride 1 only and takes no stride argument
     x, k = Tensor(np.ones((4, 8, 8))), Tensor(np.ones((4, 1, 3, 3)))
-    with pytest.raises(ShapeError, match="stride 1"):
+    with pytest.raises(TypeError, match="stride"):
         ops.conv2d(x, k, stride=2, padding=1, groups=4)
 
 

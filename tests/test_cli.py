@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a small corpus, including exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -55,6 +56,21 @@ class TestDataCommands:
         assert main(["synth-data", "--out", "data", "--per-class", "10", "--seed", "2"]) == 0
         assert main(["features", "--manifest", "data/manifest.csv", "--out", "feat"]) == 0
         assert len(list((tmp_path / "feat").glob("*.f32"))) >= 40
+
+    def test_train_on_wav_cut_inside_header_is_data_error(self, workdir, tmp_path, capsys):
+        # 30 bytes end inside the 16-byte fmt chunk that follows the RIFF header
+        from pcq.data import load_manifest, save_manifest
+        rows = load_manifest(manifest(workdir))
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(rows[0].path.read_bytes()[:30])
+        save_manifest(tmp_path / "manifest.csv", [replace(rows[0], path=cut)] + rows[1:])
+        rc = main(["train", "--manifest", str(tmp_path / "manifest.csv"), "--features",
+                   str(tmp_path / "feat"), "--config", str(workdir / "mini.json"),
+                   "--out", str(tmp_path / "run"), "--val-fold", "0"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "cannot read WAV" in err
 
     def test_synth_data_too_many_folds_is_config_error(self, tmp_path, capsys):
         rc = main(["synth-data", "--out", str(tmp_path / "d"), "--per-class", "12",

@@ -160,3 +160,22 @@ class TestBatchFeatures:
         assert report.written == 1
         assert len(report.errors) == 1
         assert report.errors[0]["clip_id"] == "missing"
+
+    def test_wav_cut_inside_header_recorded_and_skipped(self, tmp_path):
+        from pcq.data import ManifestRow
+        rows = self._rows(tmp_path, [48000, 48000])
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(rows[0].path.read_bytes()[:30])
+        rows.insert(1, ManifestRow(clip_id="cut", path=cut, label="angry", speaker="s0", fold=0))
+        report = dsp.batch_features(rows, tmp_path / "feat")
+        assert report.written == 2
+        assert [e["clip_id"] for e in report.errors] == ["cut"]
+        assert "cannot read WAV" in report.errors[0]["error"]
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only data and I/O errors are recorded per row; a bug stops the batch
+        def broken(seg):
+            raise TypeError("bug")
+        monkeypatch.setattr(dsp, "spectrogram", broken)
+        with pytest.raises(TypeError, match="bug"):
+            dsp.batch_features(self._rows(tmp_path, [48000]), tmp_path / "feat")

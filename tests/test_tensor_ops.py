@@ -67,10 +67,10 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 17, 13))
         w = rng.normal(size=(2, 3, 3, 3))
-        for stride, padding, dilation in [(2, 1, 1), (1, 2, 2), (2, 3, 3)]:
+        for padding, dilation in [(1, 1), (2, 2), (3, 3)]:
             out = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
-                             stride=stride, padding=padding, dilation=dilation)
-            oracle = naive_conv2d(x, w, stride=stride, padding=padding, dilation=dilation)
+                             padding=padding, dilation=dilation)
+            oracle = naive_conv2d(x, w, padding=padding, dilation=dilation)
             np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
     @pytest.mark.parametrize("c_in, c_out, groups", [(4, 6, 2), (4, 8, 4)])
@@ -133,22 +133,22 @@ class TestDepthwise:
 
 class TestConv1d:
     def test_matches_naive_loop(self):
+        # time-major input; 23 samples fill four windows of 5 and leave 3 over
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 23))
+        x = rng.normal(size=(23, 2))
         w = rng.normal(size=(3, 2, 5))
-        out = ops.conv1d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), stride=3)
-        lo = (23 - 5) // 3 + 1
-        oracle = np.zeros((3, lo))
-        for o in range(3):
-            for i in range(lo):
-                oracle[o, i] = np.sum(x[:, i * 3:i * 3 + 5] * w[o])
+        out = ops.conv1d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64))
+        oracle = np.zeros((4, 3))
+        for i in range(4):
+            for o in range(3):
+                oracle[i, o] = np.sum(x[i * 5:i * 5 + 5].T * w[o])
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_kernel_equals_stride_partitions_input(self):
-        x = Tensor(np.arange(12, dtype=np.float32).reshape(1, 12))
+        x = Tensor(np.arange(12, dtype=np.float32).reshape(12, 1))
         w = Tensor(np.ones((1, 1, 4), dtype=np.float32))
-        out = ops.conv1d(x, w, stride=4)
-        np.testing.assert_array_equal(out.data, [[0 + 1 + 2 + 3, 4 + 5 + 6 + 7, 8 + 9 + 10 + 11]])
+        out = ops.conv1d(x, w)
+        np.testing.assert_array_equal(out.data, [[0 + 1 + 2 + 3], [4 + 5 + 6 + 7], [8 + 9 + 10 + 11]])
 
 
 class TestBilinearResize:
