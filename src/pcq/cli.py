@@ -58,7 +58,7 @@ def _int_list(text: str) -> tuple:
 
 MODEL_FLAGS = ["taxonomy", "num_classes", "channel_plan", "input_hw", "use_pdc", "use_csq",
                "encoder_backend", "encoder_dim", "emb_dir", "fusion_q", "hidden", "dropout", "seed"]
-TRAIN_FLAGS = ["batch_size", "lr", "weight_decay", "patience", "max_epochs", "folds"]
+TRAIN_FLAGS = ["batch_size", "lr", "weight_decay", "patience", "max_epochs"]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -85,7 +85,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     t.add_argument("--weight-decay", type=float, dest="weight_decay")
     t.add_argument("--patience", type=int)
     t.add_argument("--max-epochs", type=int, dest="max_epochs")
-    t.add_argument("--folds", type=int)
 
 
 def _resolve_configs(args) -> tuple:

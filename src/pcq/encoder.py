@@ -94,9 +94,15 @@ def save_embedding(path, frames: np.ndarray):
 
 
 def load_embedding(path) -> np.ndarray:
+    """Read a save_embedding file; a malformed header or a short blob raises InvalidInput."""
     with open(path, "rb") as fh:
-        meta = json.loads(fh.readline().decode())
-        t, d = int(meta["T"]), int(meta["D"])
+        try:
+            meta = json.loads(fh.readline().decode())
+            t, d = meta["T"], meta["D"]
+        except (UnicodeDecodeError, ValueError, TypeError, KeyError) as exc:
+            raise InvalidInput(f"embedding file {path} has no valid JSON header with T and D") from exc
+        if not all(type(n) is int and n >= 1 for n in (t, d)):
+            raise InvalidInput(f"embedding file {path}: T and D must be integers >= 1, got T={t!r}, D={d!r}")
         raw = fh.read(t * d * 4)
     if len(raw) != t * d * 4:
         raise InvalidInput(f"embedding file {path} truncated")

@@ -8,9 +8,15 @@ re-runs the same graph in float64.
 
 Gradient lifetime: leaves (parameters, and inputs made with
 ``requires_grad=True``) keep their ``.grad`` after ``backward()``, and repeated
-backward passes add into it until ``zero_grad()``. A non-leaf node's gradient
-is dropped (``grad = None``) as soon as its closure has used it, so a finished
-backward pass holds no intermediate gradient.
+backward passes over separate graphs add into it until ``zero_grad()``.
+
+Graph lifetime: ``backward()`` releases the graph node by node as it goes. Once
+a non-leaf node's closure has run, the node drops its gradient, its closure and
+its parent links, and the traversal list no longer holds it, so each forward
+activation is freed as soon as the last closure that reads it has run. A
+finished backward pass leaves only the leaves' gradients (and the data of nodes
+the caller still references). A graph can therefore be backpropagated once: a
+second ``backward()`` that reaches a released node raises ``RuntimeError``.
 
 Gradient ownership: ``accumulate_grad(g)`` copies ``g`` when it becomes the
 first gradient, so a closure may pass ``gy`` or any view. A closure that
@@ -46,7 +52,7 @@ class Tensor:
     grad: same-shape buffer, allocated lazily during backward().
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_released")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -59,6 +65,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._released = False
 
     @property
     def shape(self):
@@ -98,10 +105,15 @@ class Tensor:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
         self.accumulate_grad(np.ones_like(self.data), owned=True)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()   # popped, so the list keeps no finished node alive
+            if node._backward is None:
+                continue         # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
-                node.grad = None   # consumed: only leaves keep their gradient
+            node.grad = node._backward = None
+            node._parents = ()
+            node._released = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -119,6 +131,8 @@ def _topo_order(root: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._released:
+            raise RuntimeError("graph already released by backward()")
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:

@@ -31,7 +31,6 @@ class TrainConfig:
     eps: float = 1e-8
     patience: int = 20
     max_epochs: int = 100
-    folds: int = 10
     seed: int = 0
 
     def __post_init__(self):

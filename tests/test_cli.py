@@ -222,6 +222,15 @@ class TestCvAndParams:
         bad.write_text(json.dumps({"model": {"bogus_key": 1}}))
         assert main(["cv", "--manifest", manifest(workdir), "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_folds_flag_removed_from_train_and_cv(self, workdir, tmp_path, command, capsys):
+        # cv runs every fold in the manifest, so a fold count would be a knob nothing reads
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", manifest(workdir), "--out", str(tmp_path / "run"),
+                  "--folds", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --folds" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_quick_suite_passes(self, capsys):

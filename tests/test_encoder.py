@@ -7,7 +7,7 @@ from pcq import ops
 from pcq.dsp import Segment
 from pcq.encoder import (PrecomputedEncoder, QueryProjector, StandinEncoder,
                          load_embedding, save_embedding)
-from pcq.errors import ConfigError, MissingEmbedding, ShapeError
+from pcq.errors import ConfigError, InvalidInput, MissingEmbedding, ShapeError
 from pcq.tensor import Tensor
 
 FULL_SIZES = [(150, 100), (75, 50), (37, 25)]
@@ -69,6 +69,70 @@ class TestPrecomputedEncoder:
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(ConfigError):
             PrecomputedEncoder(tmp_path / "nope", dim=64)
+
+
+class TestEmbeddingHeader:
+    """Every malformed header is InvalidInput (CLI exit 3), never a raw exception."""
+
+    def _load(self, tmp_path, header: bytes, blob: bytes = b"\0" * 64):
+        path = tmp_path / "c__0.emb"
+        path.write_bytes(header + b"\n" + blob)
+        return load_embedding(path)
+
+    def test_non_json_header(self, tmp_path):
+        with pytest.raises(InvalidInput, match="no valid JSON header"):
+            self._load(tmp_path, b"T=4 D=4")
+
+    def test_non_utf8_header(self, tmp_path):
+        with pytest.raises(InvalidInput, match="no valid JSON header"):
+            self._load(tmp_path, b"\xff\xfe")
+
+    def test_missing_d(self, tmp_path):
+        with pytest.raises(InvalidInput, match="no valid JSON header"):
+            self._load(tmp_path, b'{"T": 4}')
+
+    def test_missing_t(self, tmp_path):
+        with pytest.raises(InvalidInput, match="no valid JSON header"):
+            self._load(tmp_path, b'{"D": 4}')
+
+    def test_list_header(self, tmp_path):
+        with pytest.raises(InvalidInput, match="no valid JSON header"):
+            self._load(tmp_path, b"[4, 4]")
+
+    def test_negative_sizes(self, tmp_path):
+        with pytest.raises(InvalidInput, match="integers >= 1"):
+            self._load(tmp_path, b'{"T": -1, "D": -4}')
+
+    def test_zero_frames(self, tmp_path):
+        with pytest.raises(InvalidInput, match="integers >= 1"):
+            self._load(tmp_path, b'{"T": 0, "D": 4}')
+
+    @pytest.mark.parametrize("header", [b'{"T": 2.0, "D": 4}', b'{"T": 2, "D": "4"}',
+                                        b'{"T": true, "D": 4}', b'{"T": 2, "D": null}'])
+    def test_non_integer_sizes(self, tmp_path, header):
+        with pytest.raises(InvalidInput, match="integers >= 1"):
+            self._load(tmp_path, header)
+
+    def test_truncated_blob(self, tmp_path):
+        with pytest.raises(InvalidInput, match="truncated"):
+            self._load(tmp_path, b'{"T": 5, "D": 4}', b"\0" * 79)
+
+    def test_valid_header_reads_blob(self, tmp_path):
+        assert self._load(tmp_path, b'{"T": 4, "D": 4}').shape == (4, 4)
+
+    def test_cli_maps_malformed_header_to_exit_3(self, tmp_path, corpus40, capsys):
+        from pcq.cli import main
+        emb = tmp_path / "emb"
+        emb.mkdir()
+        for cached in corpus40["features"].glob("*.f32"):
+            (emb / f"{cached.stem}.emb").write_bytes(b'{"T": 0, "D": 16}\n')
+        rc = main(["train", "--manifest", str(corpus40["manifest"]), "--features", str(corpus40["features"]),
+                   "--channel-plan", "4,8,12,16", "--input-hw", "40,32", "--hidden", "32",
+                   "--encoder", "precomputed", "--emb-dir", str(emb), "--encoder-dim", "16",
+                   "--max-epochs", "1", "--out", str(tmp_path / "run"), "--val-fold", "0"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert "integers >= 1" in err and len(err.strip().splitlines()) == 1
 
 
 class TestQueryTokens:

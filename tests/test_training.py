@@ -63,6 +63,10 @@ class TestFoldMechanics:
         assert report.fold_id == 3
         assert 0.0 <= report.wa <= 1.0 and 0.0 <= report.ua <= 1.0
 
+    def test_folds_key_rejected(self):
+        with pytest.raises(ConfigError, match="folds"):
+            TrainConfig.from_dict({"batch_size": 16, "folds": 10})
+
     def test_missing_fold_rejected(self, dataset):
         with pytest.raises(ConfigError):
             run_fold(7777, dataset, miniature_config(), quick_train_cfg())
