@@ -32,17 +32,17 @@ class CsqModule(Module):
 
     def align(self, x_high, out_hw):
         """Match the deep feature to the shallow frame: channels first, then size."""
-        if x_high.shape[0] != self.c_high:
-            raise ShapeError(f"deep input has {x_high.shape[0]} channels, expected {self.c_high}")
+        if x_high.shape[-3] != self.c_high:
+            raise ShapeError(f"deep input has {x_high.shape[-3]} channels, expected {self.c_high}")
         return ops.bilinear_resize(self.align_conv(x_high), out_hw[0], out_hw[1])
 
     def group_blocks(self, x_low, x_high_aligned, query) -> list:
         """Eq-style grouping: per group, mean shallow slice + mean deep slice + query."""
-        if x_low.shape[0] != self.c_low or x_high_aligned.shape[0] != self.c_low:
+        if x_low.shape[-3] != self.c_low or x_high_aligned.shape[-3] != self.c_low:
             raise ShapeError(f"both grouped inputs need {self.c_low} channels, got "
-                             f"{x_low.shape[0]} and {x_high_aligned.shape[0]}")
-        if query.shape[0] != 1 or query.shape[1:] != x_low.shape[1:]:
-            raise ShapeError(f"query must be [1, {x_low.shape[1]}, {x_low.shape[2]}], got {query.shape}")
+                             f"{x_low.shape[-3]} and {x_high_aligned.shape[-3]}")
+        if query.shape[-3] != 1 or query.shape[-2:] != x_low.shape[-2:]:
+            raise ShapeError(f"query must be [(N,) 1, {x_low.shape[-2]}, {x_low.shape[-1]}], got {query.shape}")
         per_group = self.c_low // GROUP_COUNT
         blocks = []
         for i in range(GROUP_COUNT):
@@ -51,7 +51,7 @@ class CsqModule(Module):
                 ops.mean_channels(ops.slice_channels(x_low, lo, hi)),
                 ops.mean_channels(ops.slice_channels(x_high_aligned, lo, hi)),
                 query,
-            ]))
+            ], axis=-3))
         return blocks
 
     def branch_outputs(self, x_low, x_high_aligned, query) -> list:
@@ -60,6 +60,6 @@ class CsqModule(Module):
                 in zip(self.branches, self.group_blocks(x_low, x_high_aligned, query))]
 
     def forward(self, x_low, x_high, query):
-        aligned = self.align(x_high, (x_low.shape[1], x_low.shape[2]))
+        aligned = self.align(x_high, x_low.shape[-2:])
         etas = self.branch_outputs(x_low, aligned, query)
-        return self.merge(ops.concat(etas))
+        return self.merge(ops.concat(etas, axis=-3))

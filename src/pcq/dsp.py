@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput, PcqError
+from .errors import DataError, InvalidInput, PcqError
 
 SAMPLE_RATE = 16_000
 SEGMENT_SECONDS = 3
@@ -96,6 +96,12 @@ def spectrogram(seg: Segment) -> Spectrogram:
     return Spectrogram(values=np.abs(spectrum[:, :N_BINS]).astype(np.float32))
 
 
+def segment_features(seg: Segment, log1p: bool = False) -> np.ndarray:
+    """The cached feature map of one segment: spectrogram magnitudes, or their log1p."""
+    values = spectrogram(seg).values
+    return np.log1p(values) if log1p else values
+
+
 def frame_spectrum_full(seg: Segment, frame_index: int) -> np.ndarray:
     """Debug path: all 800 complex DFT magnitudes of one windowed frame (float64)."""
     if not 0 <= frame_index < N_FRAMES:
@@ -147,9 +153,7 @@ def batch_features(rows, out_dir, log1p: bool = False, read_clip=None) -> Featur
         try:
             clip = read_clip(row.path, source_id=row.clip_id)
             for seg in segment_clip(clip):
-                values = spectrogram(seg).values
-                if log1p:
-                    values = np.log1p(values)
+                values = segment_features(seg, log1p)
                 write_feature(feature_path(out_dir, row.clip_id, seg.index), values)
                 entries.append({
                     "key": feature_key(row.clip_id, seg.index),
@@ -165,6 +169,24 @@ def batch_features(rows, out_dir, log1p: bool = False, read_clip=None) -> Featur
     index = {"log1p": bool(log1p), "entries": entries}
     (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
     return report
+
+
+def cache_log1p(out_dir) -> bool:
+    """The transform recorded in a cache's index.json: True for log1p, False for raw or no index.
+
+    An index that is not a JSON object with a boolean "log1p" raises DataError.
+    """
+    path = Path(out_dir) / "index.json"
+    if not path.exists():
+        return False
+    try:
+        index = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise DataError(f"feature index {path} is not readable JSON") from exc
+    log1p = index.get("log1p") if isinstance(index, dict) else None
+    if not isinstance(log1p, bool):
+        raise DataError(f"feature index {path} has no boolean 'log1p' entry")
+    return log1p
 
 
 def cache_digest(out_dir) -> str:

@@ -6,7 +6,9 @@ embeddings exported offline by a pretrained model (e.g. 768-wide final-layer
 features). The stand-in runs time-major: the samples enter as a [48000, 1]
 sequence, and each layer's window equals its stride (5, 4, 4, 4; product 320),
 so every layer maps [L, C] to [L / k, D] and the last one gives the 150
-frames [T, D] directly. A learned projection turns the sequence into the
+frames [T, D] directly. Both backends take one segment or a list of N
+segments; a list gives [N, T, D] frames, and the query tokens follow with a
+leading N axis. A learned projection turns the sequence into the
 first query token Q1; Q2 and Q3 are parameter-free adaptive-pool reductions
 of Q1.
 """
@@ -28,13 +30,20 @@ STANDIN_STRIDES = (5, 4, 4, 4)  # product 320: 48000 samples -> 150 frames
 
 @dataclass
 class EncoderOutput:
-    """Frame-level embeddings [T, D] from the encoder's final layer."""
+    """Frame-level embeddings [(N,) T, D] from the encoder's final layer."""
 
     frames: Tensor
 
     @property
     def dim(self) -> int:
-        return self.frames.shape[1]
+        return self.frames.shape[-1]
+
+
+def _segment_list(segment):
+    """(segments, batched): a list of segments as given, one segment as a list of one."""
+    if isinstance(segment, (list, tuple)):
+        return list(segment), True
+    return [segment], False
 
 
 class StandinEncoder(Module):
@@ -48,7 +57,21 @@ class StandinEncoder(Module):
             Conv1d(rng, c_in, c_out, k=s)
             for c_in, c_out, s in zip(chans[:-1], chans[1:], STANDIN_STRIDES))
 
-    def forward(self, segment: Segment, dtype=None) -> EncoderOutput:
+    def forward(self, segment, dtype=None) -> EncoderOutput:
+        """Frames [T, D] of one segment, or [N, T, D] of a list of N segments.
+
+        A list runs segment by segment and stacks the frames. One segment's
+        sequence (9600 x D after the first layer) stays in cache from one op
+        to the next; a batch N times as long does not, and at miniature scale
+        the batched stand-in took about 30 % more time per segment.
+        """
+        segments, batched = _segment_list(segment)
+        frames = [self._frames(s) for s in segments]
+        if not batched:
+            return EncoderOutput(frames=frames[0])
+        return EncoderOutput(frames=ops.concat([ops.reshape(f, (1,) + f.shape) for f in frames]))
+
+    def _frames(self, segment: Segment) -> Tensor:
         if segment.samples.shape != (SEGMENT_SAMPLES,):
             raise InvalidInput(f"segment must hold {SEGMENT_SAMPLES} samples, got {segment.samples.shape}")
         # trainable path: the audio tensor must match the parameter dtype so
@@ -58,8 +81,8 @@ class StandinEncoder(Module):
         for i, conv in enumerate(self.convs):
             x = conv(x)
             if i + 1 < len(self.convs):
-                x = ops.relu(x)
-        return EncoderOutput(frames=x)
+                x = ops.relu(x, inplace=True)
+        return x
 
 
 class PrecomputedEncoder(Module):
@@ -72,14 +95,21 @@ class PrecomputedEncoder(Module):
         if not self.emb_dir.is_dir():
             raise ConfigError(f"embedding directory not found: {self.emb_dir}")
 
-    def forward(self, segment: Segment, dtype=np.float32) -> EncoderOutput:
+    def forward(self, segment, dtype=np.float32) -> EncoderOutput:
+        segments, batched = _segment_list(segment)
+        frames = [self._load(s) for s in segments]
+        if len({f.shape for f in frames}) != 1:
+            raise ShapeError(f"embeddings of one batch differ in length: {[f.shape for f in frames]}")
+        return EncoderOutput(frames=Tensor(np.stack(frames) if batched else frames[0], dtype=dtype))
+
+    def _load(self, segment: Segment) -> np.ndarray:
         path = self.emb_dir / f"{segment.parent_id}__{segment.index}.emb"
         if not path.exists():
             raise MissingEmbedding(f"no embedding file {path}")
         arr = load_embedding(path)
         if arr.shape[1] != self.dim:
             raise ShapeError(f"{path}: embedding width {arr.shape[1]} != configured {self.dim}")
-        return EncoderOutput(frames=Tensor(arr, dtype=dtype))
+        return arr
 
 
 def save_embedding(path, frames: np.ndarray):
@@ -111,7 +141,7 @@ def load_embedding(path) -> np.ndarray:
 
 @dataclass
 class QueryTokens:
-    """Single-channel query maps sized to match x1, x2, x3."""
+    """Single-channel query maps [(N,) 1, H, W] sized to match x1, x2, x3."""
 
     q1: Tensor
     q2: Tensor
@@ -131,8 +161,8 @@ class QueryProjector(Module):
     def forward(self, enc: EncoderOutput, sizes: list) -> QueryTokens:
         """sizes: spatial (H, W) of x1..x3 (or fewer for shallow ablations)."""
         h1, w1 = sizes[0]
-        rows = self.proj(enc.frames)                      # [T, W1]
-        q = ops.reshape(rows, (1, rows.shape[0], rows.shape[1]))
+        rows = self.proj(enc.frames)                      # [(N,) T, W1]
+        q = ops.reshape(rows, rows.shape[:-2] + (1,) + rows.shape[-2:])
         tokens = [ops.bilinear_resize(q, h1, w1)]
         for h, w in sizes[1:]:
             tokens.append(ops.adaptive_avg_pool(tokens[-1], h, w))

@@ -38,7 +38,7 @@ class MlcnnLayer(Module):
             self.block = Conv2d(rng, c_out, c_out, 3, padding=1)
 
     def forward(self, x):
-        x = ops.relu(self.trans(x))
+        x = ops.relu(self.trans(x), inplace=True)
         x = self.block(x)
         return ops.max_pool2x2(x)
 
@@ -55,9 +55,9 @@ class MlcnnBranch(Module):
             for c_in, c_out in zip((1,) + plan[:-1], plan))
 
     def forward(self, spec) -> list:
-        """[1, H, W] spectrogram -> [x_1, ..., x_n], one output per layer."""
-        if spec.ndim != 3 or spec.shape[0] != 1:
-            raise ShapeError(f"expected a [1, H, W] spectrogram tensor, got {spec.shape}")
+        """[(N,) 1, H, W] spectrogram -> [x_1, ..., x_n], one output per layer."""
+        if spec.ndim not in (3, 4) or spec.shape[-3] != 1:
+            raise ShapeError(f"expected a [1, H, W] or [N, 1, H, W] spectrogram tensor, got {spec.shape}")
         outs = []
         x = spec
         for layer in self.layers:

@@ -6,6 +6,12 @@ adjacent pair (x_m, x_{m+1}) is fused with Q_m by a channel-query module into
 z_m. The deepest map x_n also gates a pooled copy of Q_1 elementwise (Q_4).
 Global average pools of the z_m, x_n and Q_4 concatenate into the fusion
 vector feeding a two-layer classifier.
+
+The forward pass also takes a batch: an [N, 1, H, W] stack of spectrograms
+with a list of N segments runs as one graph with a leading N axis and gives
+[N, K] logits. Training runs mini-batches that way, in chunks that fit
+``training.CHUNK_BYTES`` (see ``segment_graph_bytes``); prediction runs one
+segment at a time.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -16,8 +22,8 @@ import numpy as np
 from . import ops
 from .csq import CsqModule
 from .data import get_taxonomy
-from .dsp import Segment
-from .encoder import PrecomputedEncoder, QueryProjector, StandinEncoder
+from .dsp import SEGMENT_SAMPLES, Segment
+from .encoder import STANDIN_STRIDES, PrecomputedEncoder, QueryProjector, StandinEncoder
 from .errors import ConfigError, ShapeError
 from .mlcnn import DEFAULT_CHANNEL_PLAN, MlcnnBranch, MlcnnConfig, adjacent_pairs
 from .nn import Linear, Module, ModuleList
@@ -87,6 +93,36 @@ def miniature_config(**overrides) -> PcqConfig:
     return replace(base, **overrides) if overrides else base
 
 
+# float32 maps one segment's training graph holds per MLCNN layer, in units of
+# that layer's output channels at its input resolution: the trans and PDC
+# outputs (their ReLUs run in place), the two bordered conv inputs, the 2C-wide
+# expanded, depthwise and gated maps, the pooled output, and the CSQ stage at
+# that resolution
+GRAPH_MAPS_PER_LAYER = 13
+# node bookkeeping and the small maps of the CSQ borders and the classifier
+GRAPH_FIXED_BYTES = 256 * 1024
+
+
+def segment_graph_bytes(config: PcqConfig) -> int:
+    """Estimated bytes one segment's float32 training graph holds at the end of forward.
+
+    The MLCNN maps dominate at full scale (about 87 MB at 300x200), the
+    stand-in encoder's frames at miniature scale (about 0.8 MB of 1.5 MB at
+    40x32). The frames are counted for the stand-in encoder, which holds more
+    than a precomputed embedding.
+    """
+    h, w = config.input_hw
+    maps = 0
+    for c in config.channel_plan:
+        maps += c * h * w
+        h, w = h // 2, w // 2
+    frames, length = 0, SEGMENT_SAMPLES
+    for k in STANDIN_STRIDES:
+        length //= k
+        frames += length * config.encoder_dim
+    return 4 * (GRAPH_MAPS_PER_LAYER * maps + frames) + GRAPH_FIXED_BYTES
+
+
 @dataclass
 class Prediction:
     logits: np.ndarray
@@ -132,18 +168,26 @@ class PcqNetwork(Module):
     def _param_dtype(self):
         return self.fc1.weight.dtype
 
-    def query_tokens(self, segment: Segment):
+    def query_tokens(self, segment):
         enc = self.encoder(segment, dtype=self._param_dtype())
         q_sizes = [(h, w) for _, h, w in self.sizes[:self.n_stages]]
         return self.qproj(enc, q_sizes)
 
-    def fusion_vector(self, spec, segment: Segment) -> Tensor:
-        """Concatenated global-average-pooled branch features, before the classifier."""
+    def fusion_vector(self, spec, segment) -> Tensor:
+        """Concatenated global-average-pooled branch features, before the classifier.
+
+        spec [1, H, W] with one segment gives [F]; spec [N, 1, H, W] with a
+        list of N segments gives [N, F].
+        """
         if not isinstance(spec, Tensor):
             spec = Tensor(np.asarray(spec), dtype=self._param_dtype())
-        if spec.shape != (1, *self.config.input_hw):
-            raise ShapeError(f"expected spectrogram tensor (1, {self.config.input_hw[0]}, "
-                             f"{self.config.input_hw[1]}), got {spec.shape}")
+        h, w = self.config.input_hw
+        if spec.ndim not in (3, 4) or spec.shape[-3:] != (1, h, w):
+            raise ShapeError(f"expected spectrogram tensor (1, {h}, {w}) or (N, 1, {h}, {w}), got {spec.shape}")
+        batched = isinstance(segment, (list, tuple))
+        if batched != (spec.ndim == 4) or (batched and len(segment) != spec.shape[0]):
+            raise ShapeError(f"spectrogram tensor {spec.shape} needs "
+                             f"{'a list of that many segments' if spec.ndim == 4 else 'one segment'}")
         outs = self.mlcnn(spec)
         tokens = self.query_tokens(segment)
         gaps = []
@@ -160,12 +204,12 @@ class PcqNetwork(Module):
             gaps.append(ops.global_avg_pool(q4))
         else:
             gaps.append(ops.global_avg_pool(tokens.q1))
-        return ops.concat(gaps)
+        return ops.concat(gaps, axis=-1)
 
-    def forward(self, spec, segment: Segment) -> Tensor:
-        """Segment-level class logits."""
+    def forward(self, spec, segment) -> Tensor:
+        """Segment-level class logits: [K] for one segment, [N, K] for a batch (see fusion_vector)."""
         fusion = self.fusion_vector(spec, segment)
-        h = ops.relu(self.fc1(fusion))
+        h = ops.relu(self.fc1(fusion), inplace=True)
         h = ops.dropout(h, self.config.dropout, self.training, self._dropout_rng)
         return self.fc2(h)
 

@@ -62,10 +62,10 @@ class PdcBlock(Module):
         return ops.sigmoid(self.se2(ops.relu(self.se1(squeezed))))
 
     def forward(self, x):
-        if x.ndim != 3 or x.shape[0] != self.channels:
-            raise ShapeError(f"expected [{self.channels}, H, W] input, got {x.shape}")
-        t = ops.relu(self.pw1(x))
+        if x.ndim not in (3, 4) or x.shape[-3] != self.channels:
+            raise ShapeError(f"expected [(N,) {self.channels}, H, W] input, got {x.shape}")
+        t = ops.relu(self.pw1(x), inplace=True)
         t = self.dw(t)
         gate = self.channel_weights(t)
-        t = ops.mul(t, ops.reshape(gate, (gate.shape[0], 1, 1)))
+        t = ops.mul(t, ops.reshape(gate, gate.shape + (1, 1)))
         return self.pw2(t)

@@ -1,7 +1,9 @@
 """Training loop, early stopping, k-fold cross-validation, feature export.
 
 Training operates on segments (labels inherited from their clip); evaluation
-aggregates segment softmax scores per clip before scoring. Each fold trains a
+aggregates segment softmax scores per clip before scoring. A mini-batch runs as
+chunks of segments, each chunk one batched forward and backward pass, as many
+segments per chunk as fit CHUNK_BYTES. Each fold trains a
 freshly seeded model on all other folds and early-stops on the held-out fold's
 weighted accuracy.
 """
@@ -17,9 +19,19 @@ from . import dsp, ops
 from .data import ManifestRow, Taxonomy, read_wav
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import compute_wa_ua, confusion_matrix
-from .network import PcqConfig, PcqNetwork, clip_prediction
+from .network import PcqConfig, PcqNetwork, clip_prediction, segment_graph_bytes
 from .optim import AdamW
 from .tensor import Tensor
+
+
+# activation memory one training chunk's graph may hold: about six segments
+# at miniature scale, one at full scale (see network.segment_graph_bytes)
+CHUNK_BYTES = 10 * 1024 * 1024
+
+
+def chunk_size(config: PcqConfig) -> int:
+    """Segments per forward/backward chunk: as many as fit CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // segment_graph_bytes(config))
 
 
 @dataclass(frozen=True)
@@ -79,9 +91,12 @@ def _input_map(values: np.ndarray, input_hw) -> np.ndarray:
 def build_dataset(rows, features_dir, taxonomy: Taxonomy, input_hw=(300, 200)) -> list:
     """Load cached spectrograms plus raw segments for every clip in the manifest.
 
-    Missing cache entries are computed on the fly (and not written back).
+    Missing cache entries are computed on the fly (and not written back) with
+    the transform the cache's index.json records; a malformed index raises
+    DataError.
     """
     features_dir = Path(features_dir) if features_dir is not None else None
+    log1p = dsp.cache_log1p(features_dir) if features_dir is not None else False
     clips = []
     for row in rows:
         clip = read_wav(row.path, source_id=row.clip_id)
@@ -92,7 +107,7 @@ def build_dataset(rows, features_dir, taxonomy: Taxonomy, input_hw=(300, 200)) -
             if fpath is not None and fpath.exists():
                 values = dsp.read_feature(fpath)
             else:
-                values = dsp.spectrogram(seg).values
+                values = dsp.segment_features(seg, log1p)
             samples.append(SegmentSample(segment=seg, features=_input_map(values, input_hw),
                                          label_index=label_index))
         clips.append(ClipData(clip_id=row.clip_id, label_index=label_index,
@@ -150,16 +165,26 @@ def evaluate_clips(model: PcqNetwork, clips) -> np.ndarray:
 
 def train_epoch(model: PcqNetwork, optimizer: AdamW, samples, batch_size: int,
                 rng: np.random.Generator) -> float:
-    """One pass over the training segments in shuffled mini-batches; mean loss."""
+    """One pass over the training segments in shuffled mini-batches; mean loss.
+
+    Each sample's loss is scaled by 1 / len(batch) and the optimizer steps once
+    per batch. A batch runs as the fewest equal chunks of at most
+    chunk_size(model.config) segments, in order, so dropout draws its masks in
+    sample order.
+    """
     model.train()
     order = rng.permutation(len(samples))
+    limit = chunk_size(model.config)
     total = 0.0
     for start in range(0, len(order), batch_size):
         batch = [samples[int(i)] for i in order[start:start + batch_size]]
+        chunks = -(-len(batch) // limit)   # the fewest chunks of at most `limit` segments
+        step = -(-len(batch) // chunks)
         optimizer.zero_grad()
-        for sample in batch:
-            logits = model(sample.features, sample.segment)
-            loss = ops.scale(ops.softmax_cross_entropy(logits, sample.label_index),
+        for c0 in range(0, len(batch), step):
+            chunk = batch[c0:c0 + step]
+            logits = model(np.stack([s.features for s in chunk]), [s.segment for s in chunk])
+            loss = ops.scale(ops.softmax_cross_entropy(logits, [s.label_index for s in chunk]),
                              1.0 / len(batch))
             loss.backward()
             total += float(loss.data)

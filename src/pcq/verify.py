@@ -58,7 +58,7 @@ def _op_checks(seed):
          [("x", x1), ("w", w1)]),
         ("conv2d dilation7", lambda: _reduce(seed, ops.conv2d(x2, w2, padding=7, dilation=7)),
          [("x", x2), ("w", w2)]),
-        ("depthwise conv3x3", lambda: _reduce(seed, ops.depthwise_conv3x3(x3, w3, dilation=2)),
+        ("depthwise conv3x3", lambda: _reduce(seed, ops.conv2d(x3, w3, padding=2, dilation=2, groups=3)),
          [("x", x3), ("w", w3)]),
         ("conv1d stride5", lambda: _reduce(seed, ops.conv1d(x4, w4)),
          [("x", x4), ("w", w4)]),

@@ -68,7 +68,7 @@ class TestConvolutions:
         rng = np.random.default_rng(seed)
         c = _size(rng, 1, 6)
         x, w = _t(rng, (c, _size(rng, 4, 12), _size(rng, 4, 12))), _t(rng, (c, 1, 3, 3))
-        assert_adjoint(lambda: ops.depthwise_conv3x3(x, w, dilation=2), [x, w], seed)
+        assert_adjoint(lambda: ops.conv2d(x, w, padding=2, dilation=2, groups=c), [x, w], seed)
 
     def test_conv1d_kernel_equals_stride(self, seed):
         # time-major input, once a whole number of windows long and once with
@@ -101,7 +101,7 @@ def test_depthwise_split_into_channel_blocks():
     rng = np.random.default_rng(3)
     x, w = _t(rng, (5, 126, 126)), _t(rng, (5, 1, 3, 3))
     assert len(ops._channel_blocks(5, 126 * 128 * 8)) == 3
-    assert_adjoint(lambda: ops.depthwise_conv3x3(x, w), [x, w], 3)
+    assert_adjoint(lambda: ops.conv2d(x, w, padding=1, groups=5), [x, w], 3)
 
 
 @pytest.mark.parametrize("dilation", (1, 2, 5))
@@ -186,6 +186,61 @@ class TestResamplingAndShape:
         c, h, w = _size(rng, 1, 4), _size(rng, 1, 6), _size(rng, 1, 6)
         x = _t(rng, (c, h, w))
         assert_adjoint(lambda: ops.reshape(x, (h, c * w)), [x], seed)
+
+
+def _assert_batch_axis(op, x, params, seed):
+    """op over an [N, ...] input is adjoint-exact and equals op on each sample alone."""
+    assert_adjoint(lambda: op(x), [x] + params, seed)
+    batched = op(x).data
+    for n in range(x.shape[0]):
+        alone = op(Tensor(x.data[n], dtype=np.float64)).data
+        np.testing.assert_allclose(batched[n], alone, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestBatchAxis:
+    def test_conv2d_dense_3x3(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out, n = _size(rng, 1, 4), _size(rng, 1, 4), _size(rng, 2, 4)
+        x, w = _t(rng, (n, c_in, _size(rng, 3, 11), _size(rng, 3, 11))), _t(rng, (c_out, c_in, 3, 3))
+        _assert_batch_axis(lambda t: ops.conv2d(t, w, padding=1), x, [w], seed)
+
+    def test_conv2d_dense_border_wider_than_map(self, seed):
+        # a CSQ branch at miniature scale: 5x4 maps, dilation 7, stacked end to end
+        rng = np.random.default_rng(seed)
+        x, w = _t(rng, (_size(rng, 2, 4), 3, 5, 4)), _t(rng, (3, 3, 3, 3))
+        _assert_batch_axis(lambda t: ops.conv2d(t, w, padding=7, dilation=7), x, [w], seed)
+
+    def test_conv2d_1x1(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out = _size(rng, 1, 5), _size(rng, 1, 5)
+        x, w = _t(rng, (_size(rng, 2, 4), c_in, _size(rng, 2, 9), _size(rng, 2, 9))), _t(rng, (c_out, c_in, 1, 1))
+        _assert_batch_axis(lambda t: ops.conv2d(t, w), x, [w], seed)
+
+    def test_conv2d_depthwise(self, seed):
+        rng = np.random.default_rng(seed)
+        c, d = _size(rng, 1, 6), _size(rng, 1, 3)
+        x, w = _t(rng, (_size(rng, 2, 4), c, _size(rng, 4, 12), _size(rng, 4, 12))), _t(rng, (c, 1, 3, 3))
+        _assert_batch_axis(lambda t: ops.conv2d(t, w, padding=d, dilation=d, groups=c), x, [w], seed)
+
+    def test_conv1d(self, seed):
+        rng = np.random.default_rng(seed)
+        c_in, c_out, k = _size(rng, 1, 4), _size(rng, 1, 4), _size(rng, 2, 5)
+        w = _t(rng, (c_out, c_in, k))
+        length = _size(rng, 1, 8) * k + _size(rng, 0, k - 1)
+        x = _t(rng, (_size(rng, 2, 4), length, c_in))
+        _assert_batch_axis(lambda t: ops.conv1d(t, w), x, [w], seed)
+
+    def test_bilinear_resize(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _t(rng, (_size(rng, 2, 4), _size(rng, 1, 3), _size(rng, 2, 9), _size(rng, 2, 9)))
+        out_h, out_w = _size(rng, 1, 12), _size(rng, 1, 12)
+        _assert_batch_axis(lambda t: ops.bilinear_resize(t, out_h, out_w), x, [], seed)
+
+    def test_max_pool2x2(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _t(rng, (_size(rng, 2, 4), _size(rng, 1, 3), _size(rng, 2, 9), _size(rng, 2, 9)))
+        _assert_batch_axis(ops.max_pool2x2, x, [], seed)
 
 
 def _pool_grad(x: np.ndarray) -> np.ndarray:

@@ -72,6 +72,19 @@ class TestDataCommands:
         assert len(err.strip().splitlines()) == 1, err
         assert "cannot read WAV" in err
 
+    def test_train_on_non_json_feature_index_is_data_error(self, workdir, tmp_path, capsys):
+        import shutil
+        feat = tmp_path / "feat"
+        shutil.copytree(workdir / "feat", feat)
+        (feat / "index.json").write_text("{not json")
+        rc = main(["train", "--manifest", manifest(workdir), "--features", str(feat),
+                   "--config", str(workdir / "mini.json"), "--out", str(tmp_path / "run"),
+                   "--val-fold", "0"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "index.json" in err
+
     def test_synth_data_too_many_folds_is_config_error(self, tmp_path, capsys):
         rc = main(["synth-data", "--out", str(tmp_path / "d"), "--per-class", "12",
                    "--folds", "12"])

@@ -92,7 +92,7 @@ class TestDepthwise:
         x = Tensor(np.random.default_rng(0).normal(size=(3, 6, 6)))
         w = np.zeros((3, 1, 3, 3), dtype=np.float32)
         w[:, 0, 1, 1] = 1.0
-        out = ops.depthwise_conv3x3(x, Tensor(w))
+        out = ops.conv2d(x, Tensor(w), padding=1, groups=3)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_kernel_zeroes_its_channel(self):
@@ -100,7 +100,7 @@ class TestDepthwise:
         x = Tensor(rng.normal(size=(2, 5, 5)))
         w = rng.normal(size=(2, 1, 3, 3)).astype(np.float32)
         w[1] = 0.0
-        out = ops.depthwise_conv3x3(x, Tensor(w))
+        out = ops.conv2d(x, Tensor(w), padding=1, groups=2)
         assert np.all(out.data[1] == 0.0)
         assert np.any(out.data[0] != 0.0)
 
@@ -108,7 +108,7 @@ class TestDepthwise:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 16, 16))
         w = rng.normal(size=(3, 1, 3, 3))
-        out = ops.depthwise_conv3x3(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64))
+        out = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), padding=1, groups=3)
         # per-channel 2-D correlation oracle
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
         oracle = np.zeros_like(x)
@@ -125,7 +125,8 @@ class TestDepthwise:
         w = rng.normal(size=(5, 1, 3, 3))
         dense = np.zeros((5, 5, 3, 3))
         dense[np.arange(5), np.arange(5)] = w[:, 0]
-        out = ops.depthwise_conv3x3(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), dilation=2)
+        out = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+                         padding=2, dilation=2, groups=5)
         oracle = ops.conv2d(Tensor(x, dtype=np.float64), Tensor(dense, dtype=np.float64),
                             padding=2, dilation=2)
         np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)

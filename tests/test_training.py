@@ -172,3 +172,37 @@ class TestExport:
             assert n == 2
             header = out.read_text().splitlines()[0].split(",")
             assert len(header) == 2 + width
+
+
+class TestCacheTransform:
+    """build_dataset reads the transform from the cache's index.json."""
+
+    @pytest.fixture(scope="class")
+    def log1p_cache(self, corpus40, tmp_path_factory):
+        from pcq import dsp
+        root = tmp_path_factory.mktemp("log1p")
+        dsp.batch_features(corpus40["rows"][:3], root, log1p=True)
+        return root
+
+    @pytest.mark.parametrize("hw", [(300, 200), (40, 32)])
+    def test_missing_entry_recomputed_with_the_cache_transform(self, corpus40, log1p_cache, tmp_path, hw):
+        import shutil
+        rows = corpus40["rows"][:3]
+        partial = tmp_path / "partial"
+        shutil.copytree(log1p_cache, partial)
+        (partial / f"{rows[1].clip_id}__0.f32").unlink()
+        full = build_dataset(rows, log1p_cache, corpus40["taxonomy"], input_hw=hw)
+        cut = build_dataset(rows, partial, corpus40["taxonomy"], input_hw=hw)
+        for a, b in zip(full, cut):
+            for sa, sb in zip(a.segments, b.segments):
+                np.testing.assert_array_equal(sa.features, sb.features)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"entries": []}', '{"log1p": "yes"}'])
+    def test_malformed_index_is_data_error(self, corpus40, log1p_cache, tmp_path, text):
+        import shutil
+        from pcq.errors import DataError
+        bad = tmp_path / "bad"
+        shutil.copytree(log1p_cache, bad)
+        (bad / "index.json").write_text(text)
+        with pytest.raises(DataError, match="index"):
+            build_dataset(corpus40["rows"][:1], bad, corpus40["taxonomy"], input_hw=(40, 32))
