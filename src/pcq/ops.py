@@ -143,14 +143,15 @@ def _pointwise_conv2d(x, w):
 
 
 def _dense_conv2d(x, w, padding, dilation, ho, wo):
-    xb = x.data.reshape((-1,) + x.shape[-3:])   # [N, C_in, H, W]
-    nb, c_in, h, wd = xb.shape
+    xd = x.data
+    xb = xd[:, None] if xd.ndim == 3 else xd.transpose(1, 0, 2, 3)   # [C_in, N, H, W]
+    c_in, nb, h, wd = xb.shape
     c_out, _, kh, kw = w.shape
     wp = wd + 2 * padding
     stride = (h + 2 * padding + 1) * wp   # one sample's bordered map, spare row included
     span = (nb - 1) * stride + ho * wp     # every sample's outputs, Wp wide
     taps = _tap_offsets(kh, kw, wp, dilation)
-    xf = _bordered(xb.transpose(1, 0, 2, 3), padding, padding, h + 2 * padding + 1, wp).reshape(c_in, -1)
+    xf = _bordered(xb, padding, padding, h + 2 * padding + 1, wp).reshape(c_in, -1)
 
     def columns():
         cols = np.empty((c_in, len(taps), span), dtype=x.dtype)
@@ -160,7 +161,8 @@ def _dense_conv2d(x, w, padding, dilation, ho, wo):
 
     w2 = w.data.reshape(c_out, -1)
     out = np.ascontiguousarray(_sample_windows(w2 @ columns(), nb, stride, ho, wo, wp))
-    out = out.reshape(x.shape[:-3] + out.shape[1:])
+    if xd.ndim == 3:
+        out = out[0]
 
     def backward(gy):
         gyw = np.zeros((c_out, span), dtype=gy.dtype)   # dropped outputs take no gradient
@@ -220,7 +222,9 @@ def _depthwise_conv2d(x, w, padding, dilation, ho, wo):
     n = ho * wp   # outputs per plane, Wp wide
     taps = _tap_offsets(kh, kw, wp, dilation)
     xf = _flat_bordered(planes, padding, padding, h + 2 * padding, wp)
-    wt = np.tile(w.data[:, 0].reshape(c, kh * kw, 1), (nb, 1, 1))   # per-plane tap coefficients
+    wt = w.data[:, 0].reshape(c, kh * kw, 1)   # per-plane tap coefficients
+    if nb > 1:
+        wt = np.tile(wt, (nb, 1, 1))
     # the input gradient is the same tap loop, taps reversed, over gy in a zero
     # border dilation*(k-1) - padding wide: a map gwd wide, h*gwd outputs per plane
     gwd = wd + dilation * (kw - 1)
@@ -529,16 +533,12 @@ def scale(x: Tensor, s: float) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along one axis (0: channels of a map or features of a vector; -3 or -1 with a batch axis)."""
     tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat of an empty list")
-    ndim = tensors[0].ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"concat axis {axis} out of range for rank {ndim}")
-    axis %= ndim
-    others = {t.shape[:axis] + t.shape[axis + 1:] for t in tensors}
-    if len(others) != 1 or any(t.ndim != ndim for t in tensors):
-        raise ShapeError(f"concat requires matching dims off axis {axis}, got {[t.shape for t in tensors]}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:   # also numpy's AxisError
+        raise ShapeError(f"concat along axis {axis} needs tensors of one rank with matching dims "
+                         f"off that axis, got {[t.shape for t in tensors]}") from exc
+    axis %= out.ndim
     sizes = [t.shape[axis] for t in tensors]
 
     def backward(gy):
