@@ -16,10 +16,11 @@ from . import dsp
 from .data import assign_folds, get_taxonomy, load_manifest, save_manifest, synth_corpus
 from .errors import (CheckFailed, ConfigError, DataError, InvalidInput,
                      NumericalError, PcqError, ShapeError)
-from .network import PcqConfig, PcqNetwork
+from .metrics import compute_wa_ua, confusion_matrix
+from .network import PcqConfig, PcqNetwork, clip_prediction
 from .nn import load_checkpoint, save_checkpoint
-from .training import (TrainConfig, build_dataset, evaluate_clips,
-                       export_fusion_features, run_cv, run_fold, summary_table)
+from .training import (TrainConfig, build_dataset, export_fusion_features, run_cv,
+                       run_fold, summary_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,17 +173,17 @@ def cmd_eval(args) -> int:
     taxonomy = get_taxonomy(model_cfg.taxonomy)
     rows = load_manifest(args.manifest, taxonomy)
     clips = build_dataset(rows, args.features, taxonomy, model_cfg.input_hw)
-    from .network import clip_prediction
+    pred = []
     with open(args.out, "w") as fh:
         fh.write("clip_id,true_label,pred_label" +
                  "".join(f",p_{c}" for c in taxonomy.classes[:model_cfg.resolved_num_classes]) + "\n")
         for clip in clips:
             probs = [model.predict(s.features, s.segment).probs for s in clip.segments]
             label, mean = clip_prediction(probs)
+            pred.append(label)
             fh.write(f"{clip.clip_id},{clip.label_index},{label}" +
                      "".join(f",{p:.6f}" for p in mean) + "\n")
-    confusion = evaluate_clips(model, clips)
-    from .metrics import compute_wa_ua
+    confusion = confusion_matrix([c.label_index for c in clips], pred, model_cfg.resolved_num_classes)
     wa, ua = compute_wa_ua(confusion)
     print(f"evaluated {len(clips)} clips: wa={wa:.4f} ua={ua:.4f}; predictions in {args.out}")
     return EXIT_OK

@@ -4,6 +4,11 @@ Framing: 40 ms Hamming windows every 10 ms, each window zero-padded to an
 800-point DFT; magnitudes of the first 200 bins are kept (20 Hz per bin up to
 4 kHz). A 3 s segment yields exactly 300 frames; windows that overrun the
 segment tail read zeros.
+
+Feature cache: one raw little-endian float32 [300, 200] file per segment,
+named by ``feature_path`` (``<clip_id>__<segment_index>.f32``), plus an
+``index.json`` that lists the entries and records the transform (raw
+magnitudes or their log1p).
 """
 
 import hashlib
@@ -57,12 +62,9 @@ class Segment:
 
 @dataclass
 class Spectrogram:
-    """300 frames x 200 magnitude bins, plus the framing constants that produced it."""
+    """300 frames x 200 magnitude bins."""
 
     values: np.ndarray
-    frame_ms: int = 40
-    hop_ms: int = 10
-    dft_size: int = DFT_SIZE
 
 
 def segment_clip(clip: AudioClip) -> list[Segment]:
@@ -102,14 +104,6 @@ def segment_features(seg: Segment, log1p: bool = False) -> np.ndarray:
     return np.log1p(values) if log1p else values
 
 
-def frame_spectrum_full(seg: Segment, frame_index: int) -> np.ndarray:
-    """Debug path: all 800 complex DFT magnitudes of one windowed frame (float64)."""
-    if not 0 <= frame_index < N_FRAMES:
-        raise InvalidInput(f"frame index {frame_index} outside [0, {N_FRAMES})")
-    frame = _frames(seg.samples)[frame_index]
-    return np.abs(np.fft.fft(frame, n=DFT_SIZE))
-
-
 def feature_key(clip_id: str, segment_index: int) -> str:
     return f"{clip_id}__{segment_index}"
 
@@ -122,12 +116,13 @@ def write_feature(path, values: np.ndarray):
     Path(path).write_bytes(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
-def read_feature(path, shape=(N_FRAMES, N_BINS)) -> np.ndarray:
+def read_feature(path) -> np.ndarray:
+    """One cached [300, 200] feature map; a file of any other size raises InvalidInput."""
     raw = Path(path).read_bytes()
-    expected = int(np.prod(shape)) * 4
+    expected = N_FRAMES * N_BINS * 4
     if len(raw) != expected:
         raise InvalidInput(f"feature file {path} holds {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    return np.frombuffer(raw, dtype="<f4").reshape(N_FRAMES, N_BINS).copy()
 
 
 @dataclass
@@ -136,30 +131,28 @@ class FeatureReport:
     errors: list = field(default_factory=list)
 
 
-def batch_features(rows, out_dir, log1p: bool = False, read_clip=None) -> FeatureReport:
+def batch_features(rows, out_dir, log1p: bool = False) -> FeatureReport:
     """Compute and cache one spectrogram file per segment for every manifest row.
 
     Unreadable rows are recorded and skipped. Re-runs rewrite byte-identical
-    files and index. read_clip defaults to WAV loading via pcq.data.
+    files and index.
     """
-    if read_clip is None:
-        from .data import read_wav
-        read_clip = read_wav
+    from .data import read_wav   # pcq.data imports this module
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = FeatureReport()
     entries = []
     for row in rows:
         try:
-            clip = read_clip(row.path, source_id=row.clip_id)
+            clip = read_wav(row.path, source_id=row.clip_id)
             for seg in segment_clip(clip):
-                values = segment_features(seg, log1p)
-                write_feature(feature_path(out_dir, row.clip_id, seg.index), values)
+                path = feature_path(out_dir, row.clip_id, seg.index)
+                write_feature(path, segment_features(seg, log1p))
                 entries.append({
                     "key": feature_key(row.clip_id, seg.index),
                     "clip_id": row.clip_id,
                     "segment_index": seg.index,
-                    "file": f"{feature_key(row.clip_id, seg.index)}.f32",
+                    "file": path.name,
                     "shape": [N_FRAMES, N_BINS],
                 })
                 report.written += 1

@@ -7,10 +7,10 @@ features). The stand-in runs time-major: the samples enter as a [48000, 1]
 sequence, and each layer's window equals its stride (5, 4, 4, 4; product 320),
 so every layer maps [L, C] to [L / k, D] and the last one gives the 150
 frames [T, D] directly. Both backends take one segment or a list of N
-segments; a list gives [N, T, D] frames, and the query tokens follow with a
-leading N axis. A learned projection turns the sequence into the
-first query token Q1; Q2 and Q3 are parameter-free adaptive-pool reductions
-of Q1.
+segments and return the frames tensor itself: [T, D] for one segment,
+[N, T, D] for a list, and the query tokens follow with a leading N axis. A
+learned projection turns the frames into the first query token Q1; Q2 and Q3
+are parameter-free adaptive-pool reductions of Q1.
 """
 
 import json
@@ -26,17 +26,6 @@ from .nn import Conv1d, Linear, Module, ModuleList
 from .tensor import Tensor
 
 STANDIN_STRIDES = (5, 4, 4, 4)  # product 320: 48000 samples -> 150 frames
-
-
-@dataclass
-class EncoderOutput:
-    """Frame-level embeddings [(N,) T, D] from the encoder's final layer."""
-
-    frames: Tensor
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[-1]
 
 
 def _segment_list(segment):
@@ -57,7 +46,7 @@ class StandinEncoder(Module):
             Conv1d(rng, c_in, c_out, k=s)
             for c_in, c_out, s in zip(chans[:-1], chans[1:], STANDIN_STRIDES))
 
-    def forward(self, segment, dtype=None) -> EncoderOutput:
+    def forward(self, segment, dtype=None) -> Tensor:
         """Frames [T, D] of one segment, or [N, T, D] of a list of N segments.
 
         A list runs segment by segment and stacks the frames. One segment's
@@ -68,8 +57,8 @@ class StandinEncoder(Module):
         segments, batched = _segment_list(segment)
         frames = [self._frames(s) for s in segments]
         if not batched:
-            return EncoderOutput(frames=frames[0])
-        return EncoderOutput(frames=ops.concat([ops.reshape(f, (1,) + f.shape) for f in frames]))
+            return frames[0]
+        return ops.concat([ops.reshape(f, (1,) + f.shape) for f in frames])
 
     def _frames(self, segment: Segment) -> Tensor:
         if segment.samples.shape != (SEGMENT_SAMPLES,):
@@ -95,12 +84,12 @@ class PrecomputedEncoder(Module):
         if not self.emb_dir.is_dir():
             raise ConfigError(f"embedding directory not found: {self.emb_dir}")
 
-    def forward(self, segment, dtype=np.float32) -> EncoderOutput:
+    def forward(self, segment, dtype=np.float32) -> Tensor:
         segments, batched = _segment_list(segment)
         frames = [self._load(s) for s in segments]
         if len({f.shape for f in frames}) != 1:
             raise ShapeError(f"embeddings of one batch differ in length: {[f.shape for f in frames]}")
-        return EncoderOutput(frames=Tensor(np.stack(frames) if batched else frames[0], dtype=dtype))
+        return Tensor(np.stack(frames) if batched else frames[0], dtype=dtype)
 
     def _load(self, segment: Segment) -> np.ndarray:
         path = self.emb_dir / f"{segment.parent_id}__{segment.index}.emb"
@@ -158,10 +147,10 @@ class QueryProjector(Module):
         super().__init__()
         self.proj = Linear(rng, dim, q1_width)
 
-    def forward(self, enc: EncoderOutput, sizes: list) -> QueryTokens:
-        """sizes: spatial (H, W) of x1..x3 (or fewer for shallow ablations)."""
+    def forward(self, frames: Tensor, sizes: list) -> QueryTokens:
+        """Tokens from encoder frames [(N,) T, D]; sizes: spatial (H, W) of x1..x3 (or fewer for shallow ablations)."""
         h1, w1 = sizes[0]
-        rows = self.proj(enc.frames)                      # [(N,) T, W1]
+        rows = self.proj(frames)                          # [(N,) T, W1]
         q = ops.reshape(rows, rows.shape[:-2] + (1,) + rows.shape[-2:])
         tokens = [ops.bilinear_resize(q, h1, w1)]
         for h, w in sizes[1:]:

@@ -169,9 +169,9 @@ class PcqNetwork(Module):
         return self.fc1.weight.dtype
 
     def query_tokens(self, segment):
-        enc = self.encoder(segment, dtype=self._param_dtype())
+        frames = self.encoder(segment, dtype=self._param_dtype())
         q_sizes = [(h, w) for _, h, w in self.sizes[:self.n_stages]]
-        return self.qproj(enc, q_sizes)
+        return self.qproj(frames, q_sizes)
 
     def fusion_vector(self, spec, segment) -> Tensor:
         """Concatenated global-average-pooled branch features, before the classifier.

@@ -4,7 +4,8 @@ Layout conventions: feature maps are [C, H, W], time-major sequences [L, C]
 (embedding frames [T, D]), vectors [F]. Every op the training path calls also
 takes an optional leading batch axis: [N, C, H, W] maps, [N, L, C] sequences,
 [N, F] vectors. The N samples of a batch run through one node independently,
-and a weight's gradient is the sum over them. Where the rank alone does not
+and a weight's gradient is the sum over them; a sample without the batch axis
+runs the same code as a batch of one. Where the rank alone does not
 say which axis an op acts on, the op counts from the end: channel ops work on
 axis -3, ``linear`` on the last axis, and ``concat`` takes the axis. A batched
 ``softmax_cross_entropy`` returns the sum of the per-sample losses. Training
@@ -143,8 +144,7 @@ def _pointwise_conv2d(x, w):
 
 
 def _dense_conv2d(x, w, padding, dilation, ho, wo):
-    xd = x.data
-    xb = xd[:, None] if xd.ndim == 3 else xd.transpose(1, 0, 2, 3)   # [C_in, N, H, W]
+    xb = x.data.reshape((-1,) + x.shape[-3:]).transpose(1, 0, 2, 3)   # [C_in, N, H, W]
     c_in, nb, h, wd = xb.shape
     c_out, _, kh, kw = w.shape
     wp = wd + 2 * padding
@@ -161,8 +161,7 @@ def _dense_conv2d(x, w, padding, dilation, ho, wo):
 
     w2 = w.data.reshape(c_out, -1)
     out = np.ascontiguousarray(_sample_windows(w2 @ columns(), nb, stride, ho, wo, wp))
-    if xd.ndim == 3:
-        out = out[0]
+    out = out.reshape(x.shape[:-3] + out.shape[1:])
 
     def backward(gy):
         gyw = np.zeros((c_out, span), dtype=gy.dtype)   # dropped outputs take no gradient
@@ -431,10 +430,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if x.ndim < 1 or x.shape[-1] != n:
         raise ShapeError(f"linear expects {n} input features, got {x.shape}")
     x2 = x.data.reshape(-1, n)
-    if x.ndim == 1:
-        out = w.data @ x.data
-    else:
-        out = (x2 @ w.data.T).reshape(x.shape[:-1] + (m,))
+    out = (x2 @ w.data.T).reshape(x.shape[:-1] + (m,))
     if b is not None:
         if b.shape != (m,):
             raise ShapeError(f"bias must have shape ({m},), got {b.shape}")

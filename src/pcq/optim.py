@@ -1,71 +1,55 @@
-"""AdamW: bias-corrected Adam moments with decoupled weight decay."""
+"""AdamW: bias-corrected Adam moments with decoupled weight decay.
 
-from dataclasses import dataclass, field
+Weight decay is decoupled: theta <- theta - lr*wd*theta, computed from the
+pre-update value, independent of the gradient moments.
+"""
 
 import numpy as np
 
 from .errors import ShapeError
 
 
-@dataclass
-class OptimState:
-    """Optimizer hyperparameters and per-parameter moment buffers."""
-
-    lr: float = 1e-5
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adamw_step(named_params, grads: dict, state: OptimState) -> OptimState:
-    """Apply one AdamW update in place.
-
-    Weight decay is decoupled: theta <- theta - lr*wd*theta, computed from the
-    pre-update value, independent of the gradient moments.
-    """
-    state.step += 1
-    b1, b2 = state.betas
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    for name, p in named_params:
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient for '{name}' has shape {g.shape}, parameter {p.data.shape}")
-        g = g.astype(p.data.dtype, copy=False)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if state.weight_decay:
-            p.data = p.data - state.lr * state.weight_decay * p.data - state.lr * update
-        else:
-            p.data = p.data - state.lr * update
-    return state
-
-
 class AdamW:
-    """Convenience wrapper binding an OptimState to a module's parameters."""
+    """Updates a module's parameters in place from their ``.grad`` buffers.
+
+    Holds the hyperparameters, the step count ``t`` and the moment buffers
+    ``m`` and ``v``, keyed by parameter name.
+    """
 
     def __init__(self, module, lr: float = 1e-5, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.module = module
-        self.state = OptimState(lr=lr, betas=tuple(betas), eps=eps, weight_decay=weight_decay)
+        self.lr = lr
+        self.betas = tuple(betas)
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {}
+        self.v = {}
 
     def step(self):
-        named = list(self.module.named_parameters())
-        grads = {name: p.grad for name, p in named if p.grad is not None}
-        adamw_step(named, grads, self.state)
+        """Apply one AdamW update to every parameter that holds a gradient."""
+        self.t += 1
+        b1, b2 = self.betas
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, p in self.module.named_parameters():
+            g = p.grad
+            if g is None:
+                continue
+            if g.shape != p.data.shape:
+                raise ShapeError(f"gradient for '{name}' has shape {g.shape}, parameter {p.data.shape}")
+            g = g.astype(p.data.dtype, copy=False)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - self.lr * self.weight_decay * p.data - self.lr * update
 
     def zero_grad(self):
         self.module.zero_grad()

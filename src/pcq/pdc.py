@@ -43,7 +43,7 @@ def conv3x3_param_count(channels: int) -> int:
 class PdcBlock(Module):
     """Channel-preserving block: expand, depthwise, gate channels, project."""
 
-    def __init__(self, rng, channels: int, dilation: int = 1):
+    def __init__(self, rng, channels: int):
         super().__init__()
         if channels < 1:
             raise ShapeError(f"channels must be >= 1, got {channels}")
@@ -51,7 +51,7 @@ class PdcBlock(Module):
         width = EXPANSION * channels
         hidden = se_hidden_width(channels)
         self.pw1 = Conv2d(rng, channels, width, 1)
-        self.dw = Conv2d(rng, width, width, 3, padding=dilation, dilation=dilation, groups=width)
+        self.dw = Conv2d(rng, width, width, 3, padding=1, groups=width)
         self.se1 = Linear(rng, width, hidden, bias=False)
         self.se2 = Linear(rng, hidden, width, bias=False)
         self.pw2 = Conv2d(rng, width, channels, 1)

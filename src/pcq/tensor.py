@@ -83,9 +83,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self):
         self.grad = None
 

@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, ops
-from .data import ManifestRow, Taxonomy, read_wav
+from .data import Taxonomy, read_wav
 from .errors import ConfigError, DataError, NumericalError
-from .metrics import compute_wa_ua, confusion_matrix
+from .metrics import compute_wa_ua, confusion_matrix, format_confusion
 from .network import PcqConfig, PcqNetwork, clip_prediction, segment_graph_bytes
 from .optim import AdamW
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 # activation memory one training chunk's graph may hold: about six segments
@@ -103,7 +103,7 @@ def build_dataset(rows, features_dir, taxonomy: Taxonomy, input_hw=(300, 200)) -
         label_index = taxonomy.index(row.label)
         samples = []
         for seg in dsp.segment_clip(clip):
-            fpath = features_dir / f"{dsp.feature_key(row.clip_id, seg.index)}.f32" if features_dir else None
+            fpath = dsp.feature_path(features_dir, row.clip_id, seg.index) if features_dir else None
             if fpath is not None and fpath.exists():
                 values = dsp.read_feature(fpath)
             else:
@@ -270,7 +270,6 @@ def run_cv(clips, model_cfg: PcqConfig, train_cfg: TrainConfig, folds=None) -> C
 
 
 def summary_table(summary: CvSummary, class_names) -> str:
-    from .metrics import format_confusion
     lines = ["fold   wa       ua       best_epoch  stop"]
     for r in summary.fold_reports:
         lines.append(f"{r.fold_id:>4}   {r.wa:.4f}   {r.ua:.4f}   {r.best_epoch:>10}  {r.stop_reason}")
@@ -291,7 +290,6 @@ def export_fusion_features(model: PcqNetwork, clips, out_path) -> int:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "label_index"] + [f"f{i}" for i in range(model.fusion_dim)])
         for clip in clips:
-            from .tensor import no_grad
             with no_grad():
                 vecs = [model.fusion_vector(s.features, s.segment).data for s in clip.segments]
             mean = np.mean(vecs, axis=0)

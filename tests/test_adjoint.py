@@ -29,7 +29,7 @@ def _pairings(fn, inputs, seed):
     loss = ops.linear(ops.reshape(out, (out.size,)), Tensor(v.reshape(1, -1), dtype=np.float64))
     loss.backward()
     scale = np.linalg.norm(out.data) * np.linalg.norm(v)
-    return loss.item(), [float(np.vdot(x.data, x.grad)) for x in inputs], scale
+    return float(loss.data[0]), [float(np.vdot(x.data, x.grad)) for x in inputs], scale
 
 
 def assert_adjoint(fn, inputs, seed, jointly=False):
@@ -188,13 +188,37 @@ class TestResamplingAndShape:
         assert_adjoint(lambda: ops.reshape(x, (h, c * w)), [x], seed)
 
 
+def _vjp(op, x, params, v):
+    """op(x) and the gradients of <op(x), v> with respect to x and each of params."""
+    for t in [x] + params:
+        t.zero_grad()
+    out = op(x)
+    ops.linear(ops.reshape(out, (out.size,)), Tensor(v.reshape(1, -1), dtype=np.float64)).backward()
+    return out.data, x.grad, [p.grad for p in params]
+
+
 def _assert_batch_axis(op, x, params, seed):
-    """op over an [N, ...] input is adjoint-exact and equals op on each sample alone."""
+    """op over an [N, ...] input is adjoint-exact and equals op on each sample alone.
+
+    Forward: row n of the batched output is the output for sample n alone.
+    Backward: row n of the input gradient is sample n's, and each parameter's
+    gradient is the sum of the samples' gradients.
+    """
+    for t in params:
+        t.zero_grad()   # a parameter shared between calls keeps the last call's gradient
     assert_adjoint(lambda: op(x), [x] + params, seed)
-    batched = op(x).data
+    v = np.random.default_rng(20_000 + seed).normal(size=op(x).shape)
+    batched, gx, gparams = _vjp(op, x, params, v)
+    summed = [np.zeros_like(g) for g in gparams]
     for n in range(x.shape[0]):
-        alone = op(Tensor(x.data[n], dtype=np.float64)).data
+        xn = Tensor(x.data[n], requires_grad=True, dtype=np.float64)
+        alone, gxn, gparams_n = _vjp(op, xn, params, v[n])
         np.testing.assert_allclose(batched[n], alone, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx[n], gxn, rtol=1e-12, atol=1e-12)
+        for acc, g in zip(summed, gparams_n):
+            acc += g
+    for g, acc in zip(gparams, summed):
+        np.testing.assert_allclose(g, acc, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -204,6 +228,8 @@ class TestBatchAxis:
         c_in, c_out, n = _size(rng, 1, 4), _size(rng, 1, 4), _size(rng, 2, 4)
         x, w = _t(rng, (n, c_in, _size(rng, 3, 11), _size(rng, 3, 11))), _t(rng, (c_out, c_in, 3, 3))
         _assert_batch_axis(lambda t: ops.conv2d(t, w, padding=1), x, [w], seed)
+        # one sample: [C, H, W] against [1, C, H, W]
+        _assert_batch_axis(lambda t: ops.conv2d(t, w, padding=1), _t(rng, (1,) + x.shape[1:]), [w], seed)
 
     def test_conv2d_dense_border_wider_than_map(self, seed):
         # a CSQ branch at miniature scale: 5x4 maps, dilation 7, stacked end to end
@@ -241,6 +267,13 @@ class TestBatchAxis:
         rng = np.random.default_rng(seed)
         x = _t(rng, (_size(rng, 2, 4), _size(rng, 1, 3), _size(rng, 2, 9), _size(rng, 2, 9)))
         _assert_batch_axis(ops.max_pool2x2, x, [], seed)
+
+    def test_linear(self, seed):
+        rng = np.random.default_rng(seed)
+        f, m = _size(rng, 1, 9), _size(rng, 1, 6)
+        w = _t(rng, (m, f))   # no bias: the adjoint pairing needs a map linear in x
+        for n in (1, _size(rng, 2, 4)):   # n = 1: [F] against row 0 of [1, F]
+            _assert_batch_axis(lambda t: ops.linear(t, w), _t(rng, (n, f)), [w], seed)
 
 
 def _pool_grad(x: np.ndarray) -> np.ndarray:

@@ -127,6 +127,22 @@ class TestTrainEvalExport:
         assert len(lines) == 41  # header + 40 clips
         assert lines[0].startswith("clip_id,true_label,pred_label,p_")
 
+    def test_eval_predicts_each_segment_once(self, workdir, trained, monkeypatch):
+        from pcq.network import PcqNetwork
+        calls = []
+        predict = PcqNetwork.predict
+
+        def counted(self, spec, segment):
+            calls.append((segment.parent_id, segment.index))
+            return predict(self, spec, segment)
+
+        monkeypatch.setattr(PcqNetwork, "predict", counted)
+        rc = main(["eval", "--ckpt", str(trained / "best.ckpt"), "--manifest",
+                   manifest(workdir), "--features", str(workdir / "feat"),
+                   "--out", str(workdir / "preds_once.csv")])
+        assert rc == 0
+        assert len(calls) == len(set(calls)) == len(list((workdir / "feat").glob("*.f32")))
+
     def test_export_features_width(self, workdir, trained):
         out = workdir / "fusion.csv"
         rc = main(["export-features", "--ckpt", str(trained / "best.ckpt"),

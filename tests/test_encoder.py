@@ -23,17 +23,17 @@ class TestStandinEncoder:
     def test_zero_audio_gives_finite_150x64(self):
         enc = StandinEncoder(np.random.default_rng(0), dim=64)
         out = enc(segment(np.zeros(48000, dtype=np.float32)))
-        assert out.frames.shape == (150, 64)
-        assert np.all(np.isfinite(out.frames.data))
+        assert out.shape == (150, 64)
+        assert np.all(np.isfinite(out.data))
 
     def test_stride_product_320_sets_frame_count(self):
         enc = StandinEncoder(np.random.default_rng(0), dim=16)
-        assert enc(segment()).frames.shape == (150, 16)
+        assert enc(segment()).shape == (150, 16)
 
     def test_deterministic_across_calls(self):
         enc = StandinEncoder(np.random.default_rng(1), dim=16)
-        a = enc(segment(seed=3)).frames.data
-        b = enc(segment(seed=3)).frames.data
+        a = enc(segment(seed=3)).data
+        b = enc(segment(seed=3)).data
         assert np.array_equal(a, b)
 
     def test_param_budget_under_1m(self):
@@ -52,8 +52,8 @@ class TestPrecomputedEncoder:
         np.testing.assert_array_equal(load_embedding(tmp_path / "clip__0.emb"), frames)
         enc = PrecomputedEncoder(tmp_path, dim=768)
         out = enc(segment(parent_id="clip", index=0))
-        assert out.frames.shape == (149, 768)
-        np.testing.assert_array_equal(out.frames.data, frames)
+        assert out.shape == (149, 768)
+        np.testing.assert_array_equal(out.data, frames)
 
     def test_missing_file_raises(self, tmp_path):
         enc = PrecomputedEncoder(tmp_path, dim=64)
@@ -139,8 +139,7 @@ class TestQueryTokens:
     def _tokens(self, frames, sizes=FULL_SIZES, dim=None, seed=0):
         dim = dim or frames.shape[1]
         proj = QueryProjector(np.random.default_rng(seed), dim, q1_width=sizes[0][1])
-        from pcq.encoder import EncoderOutput
-        return proj, proj(EncoderOutput(frames=Tensor(frames)), sizes)
+        return proj, proj(Tensor(frames), sizes)
 
     def test_full_scale_shapes(self):
         frames = np.random.default_rng(0).normal(size=(150, 64)).astype(np.float32)
@@ -186,7 +185,6 @@ class TestQueryTokens:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradcheck_projection_path(self, seed):
         # linear + bilinear + adaptive pooling: smooth everywhere, any seed works
-        from pcq.encoder import EncoderOutput
         from pcq.gradcheck import model_grad_check
 
         rng = np.random.default_rng(seed)
@@ -196,7 +194,7 @@ class TestQueryTokens:
         w = np.random.default_rng(200 + seed).normal(size=(1, 3))
 
         def loss():
-            tokens = proj(EncoderOutput(frames=frames), [(14, 10), (7, 5), (3, 2)])
+            tokens = proj(frames, [(14, 10), (7, 5), (3, 2)])
             gaps = ops.concat([ops.global_avg_pool(q) for q in tokens.as_list()])
             return ops.linear(gaps, Tensor(w, dtype=np.float64))
 
@@ -205,7 +203,6 @@ class TestQueryTokens:
         assert report.passed, report.summary()
 
     def test_backend_swap_keeps_downstream_shapes(self, tmp_path):
-        from pcq.encoder import EncoderOutput
         standin = StandinEncoder(np.random.default_rng(0), dim=16)
         save_embedding(tmp_path / "c__0.emb", np.random.default_rng(1).normal(size=(149, 32)).astype(np.float32))
         pre = PrecomputedEncoder(tmp_path, dim=32)

@@ -147,6 +147,20 @@ class TestDeterminismAndPrediction:
         np.testing.assert_allclose(pred.probs.sum(), 1.0, atol=1e-6)
         assert net.training  # predict restores mode
 
+    def test_predict_equals_one_row_batch_bitwise(self):
+        # one segment runs the batched code path with N = 1, so evaluation (and
+        # cv_report.json) does not depend on the layout a segment comes in. Rows
+        # of a larger batch agree only to rounding: a GEMM over N stacked
+        # samples does not give the same bits as N one-sample GEMMs.
+        net = PcqNetwork(miniature_config()).eval()
+        specs = np.concatenate([rand_spec((40, 32), seed=20 + i)[None] for i in range(3)])
+        segs = [rand_segment(seed=30 + i, index=i) for i in range(3)]
+        batched = net(specs, segs).data
+        for i in range(3):
+            logits = net.predict(specs[i], segs[i]).logits
+            assert np.array_equal(logits, net(specs[i:i + 1], segs[i:i + 1]).data[0])
+            np.testing.assert_allclose(logits, batched[i], rtol=1e-4, atol=1e-5)
+
     def test_clip_prediction_single_segment(self):
         label, mean = clip_prediction([np.array([0.1, 0.7, 0.2])])
         assert label == 1

@@ -2,8 +2,16 @@
 
 import numpy as np
 
-from pcq.nn import Parameter
-from pcq.optim import AdamW, OptimState, adamw_step
+from pcq.nn import Module, Parameter
+from pcq.optim import AdamW
+
+
+class One(Module):
+    """A module holding the single parameter p."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.p = Parameter(np.asarray(value, dtype=np.float64))
 
 
 def reference_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -20,16 +28,17 @@ def reference_adam(theta, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def step_once(value, grad, **kw):
-    p = Parameter(np.asarray(value, dtype=np.float64))
-    state = OptimState(**kw)
-    adamw_step([("p", p)], {"p": np.asarray(grad, dtype=np.float64)}, state)
-    return p.data, state
+    one = One(value)
+    one.p.grad = np.asarray(grad, dtype=np.float64)
+    opt = AdamW(one, **kw)
+    opt.step()
+    return one.p.data, opt
 
 
 def test_zero_grad_zero_decay_is_identity():
-    data, state = step_once([1.0, -2.0], [0.0, 0.0], lr=1e-3, weight_decay=0.0)
+    data, opt = step_once([1.0, -2.0], [0.0, 0.0], lr=1e-3, weight_decay=0.0)
     np.testing.assert_array_equal(data, [1.0, -2.0])
-    assert state.step == 1
+    assert opt.t == 1
 
 
 def test_single_step_hand_value():
@@ -49,11 +58,12 @@ def test_wd_zero_matches_plain_adam_over_many_steps():
     rng = np.random.default_rng(0)
     theta0 = rng.normal(size=7)
     grads = [rng.normal(size=7) for _ in range(25)]
-    p = Parameter(theta0.copy())
-    state = OptimState(lr=1e-3, weight_decay=0.0)
+    one = One(theta0.copy())
+    opt = AdamW(one, lr=1e-3, weight_decay=0.0)
     for g in grads:
-        adamw_step([("p", p)], {"p": g}, state)
-    np.testing.assert_allclose(p.data, reference_adam(theta0, grads, lr=1e-3), atol=1e-12)
+        one.p.grad = g
+        opt.step()
+    np.testing.assert_allclose(one.p.data, reference_adam(theta0, grads, lr=1e-3), atol=1e-12)
 
 
 def test_lr_zero_is_identity():
@@ -64,8 +74,6 @@ def test_lr_zero_is_identity():
 
 
 def test_moment_buffers_match_param_shapes():
-    from pcq.nn import Module
-
     class Toy(Module):
         def __init__(self):
             super().__init__()
@@ -77,6 +85,6 @@ def test_moment_buffers_match_param_shapes():
         p.grad = np.ones_like(p.data)
     opt = AdamW(toy, lr=1e-3)
     opt.step()
-    assert opt.state.m["a"].shape == (3, 4)
-    assert opt.state.v["b"].shape == (2,)
-    assert opt.state.step == 1
+    assert opt.m["a"].shape == (3, 4)
+    assert opt.v["b"].shape == (2,)
+    assert opt.t == 1
